@@ -10,6 +10,7 @@ classifier without touching the rest.
 """
 
 import random
+from dataclasses import asdict
 
 from rulesmith import (
     DialogueSample,
@@ -73,7 +74,7 @@ f1_alone = weighted_f1(gold, [p.label for p in alone.predictions], labels)
 f1_together = weighted_f1(gold, [p.label for p in together.predictions], labels)
 print(f"classifier alone:      weighted F1 = {f1_alone:.4f}")
 print(f"with rule corrections: weighted F1 = {f1_together:.4f}")
-print(f"report: {together.report.to_dict()}")
+print(f"report: {asdict(together.report)}")
 
 corrected = [
     (a.sample_id, a.label, b.label)

@@ -15,14 +15,14 @@ import logging
 import random
 import re
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol, Sequence, TypeVar
 
 import requests
 
 from .dataset import DialogueSample, Task
-from .errors import AgentProtocolError, AgentUnavailableError
+from .errors import AgentError, AgentProtocolError, AgentUnavailableError
 from .predicate import (
     Predicate,
     PredicateField,
@@ -65,7 +65,8 @@ class AgentContext:
     task: Task
     label: str
     exemplars: tuple[DialogueSample, ...]
-    validation: tuple[DialogueSample, ...]
+    # Often a ``SampleIndex``, so that scoring reuses its compiled bitsets.
+    validation: Sequence[DialogueSample]
     current: frozenset[Predicate] = field(default_factory=frozenset)
     siblings: frozenset[Predicate] = field(default_factory=frozenset)
 
@@ -103,7 +104,6 @@ def tokenize(text: str) -> set[str]:
     return tokens
 
 
-@lru_cache(maxsize=None)
 def sample_tokens(sample: DialogueSample) -> frozenset[str]:
     return frozenset(tokenize(extract_field_text(sample, PredicateField.ANY_TEXT)))
 
@@ -116,6 +116,24 @@ def _stable_rng(*parts: object) -> random.Random:
 def rule_key(rule: Rule) -> str:
     preds = ",".join(render_predicate(p) for p in rule.sorted_predicates())
     return f"{rule.task.value}|{rule.label}|{preds}"
+
+
+class _TokenFrequencies:
+    """Sample counts, and per token the number of samples holding it, per
+    (task, gold label) and per task, from one pass over a corpus."""
+
+    def __init__(self, corpus: Sequence[DialogueSample]) -> None:
+        self.label_sizes: Counter[tuple[Task, str | None]] = Counter()
+        self.task_sizes: Counter[Task] = Counter()
+        self.in_label: dict[tuple[Task, str | None], Counter[str]] = {}
+        self.in_task: dict[Task, Counter[str]] = {}
+        for sample in corpus:
+            key = (sample.task, sample.gold_label)
+            tokens = sample_tokens(sample)
+            self.label_sizes[key] += 1
+            self.task_sizes[sample.task] += 1
+            self.in_label.setdefault(key, Counter()).update(tokens)
+            self.in_task.setdefault(sample.task, Counter()).update(tokens)
 
 
 class MockAgent:
@@ -142,26 +160,26 @@ class MockAgent:
         self.seed = seed
         self.noise = noise
         self._ranked: dict[tuple[Task, str], list[str]] = {}
+        self._frequencies: _TokenFrequencies | None = None
 
     def _ranked_tokens(self, task: Task, label: str) -> list[str]:
         key = (task, label)
         if key in self._ranked:
             return self._ranked[key]
-        positives = [s for s in self.corpus if s.task is task and s.gold_label == label]
-        negatives = [s for s in self.corpus if s.task is task and s.gold_label != label]
+        if self._frequencies is None:
+            self._frequencies = _TokenFrequencies(self.corpus)
+        freq = self._frequencies
+        positives = freq.label_sizes[key]
+        negatives = freq.task_sizes[task] - positives
         scored: list[tuple[float, float, str]] = []
         if positives:
-            vocabulary = set().union(*(sample_tokens(s) for s in positives))
-            smoothing = 1.0 / (2 * max(1, len(negatives)))
-            for token in vocabulary:
+            in_task = freq.in_task[task]
+            smoothing = 1.0 / (2 * max(1, negatives))
+            for token, hits in freq.in_label[key].items():
                 if len(token) > MAX_TOKEN_LENGTH:
                     continue
-                p_pos = sum(token in sample_tokens(s) for s in positives) / len(positives)
-                p_neg = (
-                    sum(token in sample_tokens(s) for s in negatives) / len(negatives)
-                    if negatives
-                    else 0.0
-                )
+                p_pos = hits / positives
+                p_neg = (in_task[token] - hits) / negatives if negatives else 0.0
                 scored.append((p_pos / (p_neg + smoothing), p_pos, token))
         scored.sort(key=lambda item: (-item[0], -item[1], item[2]))
         ranked = [token for _, _, token in scored]
@@ -206,6 +224,8 @@ class MockAgent:
 # --- remote agent ------------------------------------------------------------
 
 Transport = Callable[[list[dict[str, str]]], str]
+
+T = TypeVar("T")
 
 _FENCE_RE = re.compile(r"```(?:[A-Za-z0-9_-]*)\n(.*?)```", re.DOTALL)
 
@@ -274,6 +294,52 @@ def http_chat_transport(
     return send
 
 
+def structured_call(
+    send: Transport,
+    messages: list[dict[str, str]],
+    parse: Callable[[str], T],
+    retries: int,
+) -> T:
+    """Send a conversation until ``parse`` accepts the reply, at most ``retries`` times.
+
+    A reply that ``parse`` rejects with ``AgentProtocolError`` is retried
+    with the parse error echoed back to the model; a transport failure is
+    retried as-is. Once the budget is spent the last error is raised:
+    ``AgentProtocolError`` for an invalid reply, ``AgentUnavailableError``
+    for a transport failure.
+    """
+
+    last_error: AgentError = AgentUnavailableError("retry budget is zero")
+    conversation = list(messages)
+    for attempt in range(1, retries + 1):
+        try:
+            content = send(conversation)
+        except requests.RequestException as exc:
+            last_error = AgentUnavailableError(f"transport failure: {exc}")
+            logger.warning("transport failure (attempt %d): %s", attempt, exc)
+            continue
+        except AgentProtocolError as exc:  # the endpoint's reply envelope was malformed
+            last_error = exc
+            logger.warning("reply envelope invalid (attempt %d): %s", attempt, exc)
+            continue
+        try:
+            return parse(content)
+        except AgentProtocolError as exc:
+            last_error = exc
+            logger.warning("reply payload invalid (attempt %d): %s", attempt, exc)
+            conversation = conversation + [
+                {"role": "assistant", "content": content},
+                {
+                    "role": "user",
+                    "content": (
+                        f"Your reply was invalid: {exc}. Answer again with "
+                        "exactly one fenced JSON block in the required schema."
+                    ),
+                },
+            ]
+    raise last_error
+
+
 def _format_samples(samples: Sequence[DialogueSample], limit: int) -> str:
     lines = []
     for sample in samples[:limit]:
@@ -317,36 +383,6 @@ class RemoteAgent:
         with self._gate:
             return self._transport(messages)
 
-    def _structured_call(
-        self, messages: list[dict[str, str]], parse: Callable[[str], object]
-    ) -> object:
-        last_error: Exception | None = None
-        conversation = list(messages)
-        for attempt in range(self.retries):
-            try:
-                content = self._send(conversation)
-            except requests.RequestException as exc:
-                last_error = AgentUnavailableError(f"transport failure: {exc}")
-                logger.warning("agent transport failure (attempt %d): %s", attempt + 1, exc)
-                continue
-            try:
-                return parse(content)
-            except AgentProtocolError as exc:
-                last_error = exc
-                logger.warning("agent payload invalid (attempt %d): %s", attempt + 1, exc)
-                conversation = conversation + [
-                    {"role": "assistant", "content": content},
-                    {
-                        "role": "user",
-                        "content": (
-                            f"Your reply was invalid: {exc}. Answer again with "
-                            "exactly one fenced JSON block in the required schema."
-                        ),
-                    },
-                ]
-        assert last_error is not None
-        raise last_error
-
     def propose_predicates(self, ctx: AgentContext, k: int) -> list[Predicate]:
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -383,10 +419,10 @@ class RemoteAgent:
                 raise AgentProtocolError('field "predicates" must be an array of strings')
             return raw
 
-        raw_predicates = self._structured_call(messages, parse)
+        raw_predicates = structured_call(self._send, messages, parse, self.retries)
         taken = set(ctx.current) | set(ctx.siblings)
         proposals: list[Predicate] = []
-        for text in raw_predicates:  # type: ignore[union-attr]
+        for text in raw_predicates:
             try:
                 candidate = parse_predicate(text)
             except Exception as exc:  # unparseable proposals are dropped, not fatal
@@ -433,7 +469,7 @@ class RemoteAgent:
                 raise AgentProtocolError('field "rationale" must be a string')
             return RewardEstimate(reward=reward, confidence=confidence, rationale=rationale)
 
-        return self._structured_call(messages, parse)  # type: ignore[return-value]
+        return structured_call(self._send, messages, parse, self.retries)
 
     def rephrase(self, text: str) -> str:
         messages = [
@@ -453,4 +489,4 @@ class RemoteAgent:
                 raise AgentProtocolError("rephrase reply is empty")
             return reply
 
-        return self._structured_call(messages, parse)  # type: ignore[return-value]
+        return structured_call(self._send, messages, parse, self.retries)

@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -177,10 +178,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     )
     save_predictions(result.predictions, args.out)
     print(f"wrote {len(result.predictions)} predictions to {args.out}")
-    print(json.dumps(result.report.to_dict()))
+    print(json.dumps(asdict(result.report)))
     if args.report:
         Path(args.report).write_text(
-            json.dumps(result.report.to_dict(), indent=2) + "\n", encoding="utf-8"
+            json.dumps(asdict(result.report), indent=2) + "\n", encoding="utf-8"
         )
     return 0
 

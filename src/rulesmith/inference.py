@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
-from .agents import Transport, extract_fenced_json, http_chat_transport
+from .agents import Transport, extract_fenced_json, http_chat_transport, structured_call
 from .dataset import DialogueSample, LabelTaxonomy, sample_to_record
-from .errors import AgentProtocolError, PredictorError, RulesmithError
-from .predicate import Rule, eval_rule
+from .errors import AgentError, AgentProtocolError, PredictorError, RulesmithError
+from .predicate import Rule, SampleIndex
 from .rulebase import RuleBase
 
 PREDICTOR_KEY_ENV = "RULESMITH_PREDICTOR_KEY"
@@ -120,39 +120,48 @@ class RemotePredictor:
                 ),
             },
         ]
-        last_error: Exception | None = None
-        conversation = messages
-        for _ in range(self.retries):
-            try:
-                content = self._transport(conversation)
-                payload = extract_fenced_json(content)
-                label = payload.get("label")
-                if not isinstance(label, str) or not label:
-                    raise AgentProtocolError('field "label" must be a non-empty string')
-                if label not in labels:
-                    raise AgentProtocolError(
-                        f"label {label!r} is not in the {sample.task.value} taxonomy"
-                    )
-                return label
-            except Exception as exc:  # noqa: BLE001 - retried, then surfaced
-                last_error = exc
-        raise PredictorError(
-            f"predictor failed for sample {sample.id!r}: {last_error}"
-        ) from last_error
+
+        def parse(content: str) -> str:
+            label = extract_fenced_json(content).get("label")
+            if not isinstance(label, str) or not label:
+                raise AgentProtocolError('field "label" must be a non-empty string')
+            if label not in labels:
+                raise AgentProtocolError(
+                    f"label {label!r} is not in the {sample.task.value} taxonomy"
+                )
+            return label
+
+        try:
+            return structured_call(self._transport, messages, parse, self.retries)
+        except AgentError as exc:
+            raise PredictorError(
+                f"predictor failed for sample {sample.id!r}: {exc}"
+            ) from exc
+
+
+def _fired_rules(rulebase: RuleBase, samples: Sequence[DialogueSample]) -> list[list[Rule]]:
+    """Per sample, the same-task rules firing on it, strongest first.
+
+    Ordering: reward descending, then predicate count descending (more
+    specific first), then id ascending. Rules are visited in that order and
+    each is appended to the samples its bitset holds, so every list comes
+    out sorted.
+    """
+
+    index = SampleIndex(samples)
+    fired: list[list[Rule]] = [[] for _ in index]
+    for rule in sorted(rulebase.rules, key=lambda r: (-r.reward, -len(r.predicates), r.id)):
+        mask = index.rule_mask(rule)
+        while mask:
+            lowest = mask & -mask
+            fired[lowest.bit_length() - 1].append(rule)
+            mask ^= lowest
+    return fired
 
 
 def match_rules(rulebase: RuleBase, sample: DialogueSample) -> list[Rule]:
-    """All same-task rules firing on the sample, strongest first.
-
-    Ordering: reward descending, then predicate count descending (more
-    specific first), then id ascending.
-    """
-
-    fired = [
-        r for r in rulebase.rules if r.task is sample.task and eval_rule(r, sample)
-    ]
-    fired.sort(key=lambda r: (-r.reward, -len(r.predicates), r.id))
-    return fired
+    """All same-task rules firing on the sample, strongest first."""
+    return _fired_rules(rulebase, [sample])[0]
 
 
 def arbitrate(
@@ -191,16 +200,6 @@ class BatchReport:
     rule_fallbacks: int = 0
     abstained: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "from_rules": self.from_rules,
-            "from_predictor": self.from_predictor,
-            "predictor_failures": self.predictor_failures,
-            "rule_fallbacks": self.rule_fallbacks,
-            "abstained": self.abstained,
-        }
-
 
 @dataclass
 class BatchResult:
@@ -225,9 +224,8 @@ def predict_batch(
 
     predictions: list[Prediction] = []
     report = BatchReport()
-    for sample in samples:
+    for sample, fired in zip(samples, _fired_rules(rulebase, samples)):
         report.total += 1
-        fired = match_rules(rulebase, sample)
         try:
             predictor_label = predictor.predict(sample)
         except PredictorError as exc:

@@ -20,7 +20,7 @@ from typing import IO
 from .agents import Agent, AgentContext, RewardEstimate
 from .dataset import DatasetSplit, Task
 from .errors import AgentError
-from .predicate import MAX_RULE_PREDICATES, Predicate, Rule, RuleSource
+from .predicate import MAX_RULE_PREDICATES, Predicate, Rule, RuleSource, SampleIndex
 
 logger = logging.getLogger(__name__)
 
@@ -125,7 +125,8 @@ def run_search(
     )
     if not exemplars:
         raise ValueError(f"no training sample carries label {label!r} for task {task.value}")
-    validation = tuple(s for s in split.validation if s.task is task)
+    # One index per search: every evaluation reuses its predicate bitsets.
+    validation = SampleIndex(s for s in split.validation if s.task is task)
     if not validation:
         raise ValueError(f"no validation samples for task {task.value}")
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 import enum
 import unicodedata
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .dataset import DialogueSample, Speaker, Task
 from .errors import PredicateSyntaxError
@@ -226,7 +225,6 @@ def parse_predicate(text: str) -> Predicate:
 
 # --- evaluation -------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def normalize_text(text: str) -> str:
     """NFKC-normalize and case-fold, so width and case variants match."""
     return unicodedata.normalize("NFKC", text).casefold()
@@ -249,21 +247,20 @@ def extract_field_text(sample: DialogueSample, field: PredicateField) -> str:
     return user + "\n" + service + "\n" + sample.ocr_text
 
 
-@lru_cache(maxsize=None)
-def _normalized_field_text(sample: DialogueSample, field: PredicateField) -> str:
-    return normalize_text(extract_field_text(sample, field))
+def _holds(op: PredicateOp, needle: str, haystack: str) -> bool:
+    """What each operator means, on normalized needle and haystack."""
+    if op is PredicateOp.CONTAINS:
+        return needle in haystack
+    if op is PredicateOp.NOT_CONTAINS:
+        return needle not in haystack
+    if op is PredicateOp.STARTS_WITH:
+        return haystack.startswith(needle)
+    return haystack.endswith(needle)
 
 
 def eval_predicate(p: Predicate, sample: DialogueSample) -> bool:
-    haystack = _normalized_field_text(sample, p.field)
-    needle = normalize_text(p.value)
-    if p.op is PredicateOp.CONTAINS:
-        return needle in haystack
-    if p.op is PredicateOp.NOT_CONTAINS:
-        return needle not in haystack
-    if p.op is PredicateOp.STARTS_WITH:
-        return haystack.startswith(needle)
-    return haystack.endswith(needle)
+    haystack = normalize_text(extract_field_text(sample, p.field))
+    return _holds(p.op, normalize_text(p.value), haystack)
 
 
 def eval_rule(rule: Rule, sample: DialogueSample) -> bool:
@@ -271,20 +268,79 @@ def eval_rule(rule: Rule, sample: DialogueSample) -> bool:
     return all(eval_predicate(p, sample) for p in rule.predicates)
 
 
-def match_set(rule: Rule, samples: Iterable[DialogueSample]) -> list[DialogueSample]:
-    return [s for s in samples if s.task is rule.task and eval_rule(rule, s)]
+def _to_mask(flags: Sequence[bool]) -> int:
+    """The bitset with bit i set iff ``flags[i]``."""
+    return int("0" + "".join("1" if flag else "0" for flag in reversed(flags)), 2)
+
+
+class SampleIndex(Sequence[DialogueSample]):
+    """A sample collection compiled once for rule evaluation.
+
+    Each set of samples is a Python ``int`` whose bit i stands for the i-th
+    sample. Normalized field texts are computed once per field, and the
+    bitsets of each predicate, task and label once per index, so a rule's
+    match set is the AND of its predicates' bitsets (tidset intersection,
+    as in Eclat) and counting it is a popcount. Nothing outlives the index.
+
+    The index is itself the sequence of its samples, so it can stand
+    wherever a ``Sequence[DialogueSample]`` is expected.
+    """
+
+    def __init__(self, samples: Iterable[DialogueSample]) -> None:
+        self.samples = tuple(samples)
+        self._texts: dict[PredicateField, tuple[str, ...]] = {}
+        self._predicate_masks: dict[Predicate, int] = {}
+        self._task_masks = {task: _to_mask([s.task is task for s in self.samples]) for task in Task}
+        self._label_masks: dict[str, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def __getitem__(self, index):  # type: ignore[override]
+        return self.samples[index]
+
+    def __iter__(self) -> Iterator[DialogueSample]:
+        return iter(self.samples)
+
+    def _field_texts(self, field: PredicateField) -> tuple[str, ...]:
+        texts = self._texts.get(field)
+        if texts is None:
+            texts = tuple(normalize_text(extract_field_text(s, field)) for s in self.samples)
+            self._texts[field] = texts
+        return texts
+
+    def predicate_mask(self, p: Predicate) -> int:
+        mask = self._predicate_masks.get(p)
+        if mask is None:
+            needle = normalize_text(p.value)
+            mask = _to_mask([_holds(p.op, needle, text) for text in self._field_texts(p.field)])
+            self._predicate_masks[p] = mask
+        return mask
+
+    def label_mask(self, label: str) -> int:
+        mask = self._label_masks.get(label)
+        if mask is None:
+            mask = self._label_masks[label] = _to_mask(
+                [s.gold_label == label for s in self.samples]
+            )
+        return mask
+
+    def rule_mask(self, rule: Rule) -> int:
+        """The same-task samples on which every predicate of the rule holds."""
+        mask = self._task_masks[rule.task]
+        for p in rule.predicates:
+            mask &= self.predicate_mask(p)
+        return mask
 
 
 def measure_rule(rule: Rule, validation: Sequence[DialogueSample]) -> RuleQuality:
-    """Coverage, correct count, and precision over same-task labeled samples."""
+    """Coverage, correct count, and precision over same-task labeled samples.
 
-    coverage = 0
-    correct = 0
-    for sample in validation:
-        if sample.task is not rule.task:
-            continue
-        if eval_rule(rule, sample):
-            coverage += 1
-            if sample.gold_label == rule.label:
-                correct += 1
-    return RuleQuality.from_counts(coverage, correct)
+    Pass a ``SampleIndex`` to share its bitsets across rules; any other
+    sequence is indexed for this one call.
+    """
+
+    index = validation if isinstance(validation, SampleIndex) else SampleIndex(validation)
+    covered = index.rule_mask(rule)
+    correct = covered & index.label_mask(rule.label)
+    return RuleQuality.from_counts(covered.bit_count(), correct.bit_count())

@@ -20,6 +20,7 @@ from .predicate import (
     Rule,
     RuleQuality,
     RuleSource,
+    SampleIndex,
     measure_rule,
     parse_predicate,
     render_predicate,
@@ -150,8 +151,9 @@ def online_validate(
     kept: list[Rule] = []
     dropped: list[tuple[Rule, RuleQuality]] = []
     measured: dict[str, RuleQuality] = {}
+    index = SampleIndex(validation)
     for rule in rules:
-        quality = measure_rule(rule, validation)
+        quality = measure_rule(rule, index)
         measured[rule.id] = quality
         if quality.coverage < min_support or quality.precision is None:
             dropped.append((rule, quality))

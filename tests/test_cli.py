@@ -80,6 +80,7 @@ def test_rephrase_with_mock_agent_echoes(workspace, capsys):
 def test_induce_with_fixed_seed_is_bit_reproducible(workspace):
     tmp, train, val, tax = workspace
     outs = []
+    # Both runs share this interpreter; each loads the corpus afresh.
     for run in range(2):
         out = tmp / f"rules{run}.json"
         status = main(
@@ -91,6 +92,24 @@ def test_induce_with_fixed_seed_is_bit_reproducible(workspace):
     assert outs[0] == outs[1]
     base = load_rulebase(tmp / "rules0.json")
     assert base.rules  # the mock really found something
+
+
+def test_no_rulesmith_function_keeps_a_process_lifetime_cache():
+    """A long-lived process that calls main repeatedly must not pile up samples."""
+    import functools
+    import importlib
+    import inspect
+    import pkgutil
+
+    import rulesmith
+
+    cache_type = type(functools.lru_cache(maxsize=None)(len))
+    for info in pkgutil.iter_modules(rulesmith.__path__):
+        module = importlib.import_module(f"rulesmith.{info.name}")
+        members = list(vars(module).values())
+        members += [m for cls in members if inspect.isclass(cls) for m in vars(cls).values()]
+        cached = [m for m in members if isinstance(m, cache_type)]
+        assert not cached, f"rulesmith.{info.name} keeps lru_caches: {cached}"
 
 
 def test_filter_keeps_the_boundary_reward(tmp_path, capsys):

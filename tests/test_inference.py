@@ -251,6 +251,46 @@ class TestRemotePredictor:
         with pytest.raises(PredictorError, match="nonsense"):
             predictor.predict(intent_sample("s", None, "x"))
 
+    def test_malformed_reply_is_retried_with_the_error_echoed_back(self):
+        conversations = []
+
+        def transport(messages):
+            # Answers properly only once the previous message echoes the error.
+            conversations.append(messages)
+            echoed = (
+                len(messages) > 2
+                and messages[-2]["role"] == "assistant"
+                and messages[-1]["content"].startswith("Your reply was invalid")
+            )
+            return '```json\n{"label": "refund"}\n```' if echoed else "It is a refund."
+
+        predictor = RemotePredictor("http://example", TAX, transport=transport)
+        assert predictor.predict(intent_sample("s", None, "x")) == "refund"
+        assert len(conversations) == 2
+        assert conversations[1][:2] == conversations[0]
+
+    def test_transport_failure_becomes_a_predictor_error(self):
+        import requests
+
+        def transport(messages):
+            raise requests.ConnectionError("down")
+
+        predictor = RemotePredictor("http://example", TAX, transport=transport)
+        with pytest.raises(PredictorError, match="down"):
+            predictor.predict(intent_sample("s", None, "x"))
+
+    def test_programming_errors_are_not_retried_away(self):
+        calls = []
+
+        def transport(messages):
+            calls.append(messages)
+            raise TypeError("bug in the transport")
+
+        predictor = RemotePredictor("http://example", TAX, transport=transport)
+        with pytest.raises(TypeError):
+            predictor.predict(intent_sample("s", None, "x"))
+        assert len(calls) == 1
+
 
 class TestPredictionFiles:
     def test_round_trip(self, tmp_path):
