@@ -42,7 +42,7 @@ for label, token in giveaway.items():
 
 split = stratified_split(samples, validation_fraction=0.4, seed=0)
 agent = MockAgent(split.train, seed=0, noise=0.0)
-cfg = SearchConfig(max_iterations=100, seed=0)
+cfg = SearchConfig(max_iterations=100)
 
 for label in giveaway:
     result = run_search(label, Task.INTENT, split, agent, cfg)

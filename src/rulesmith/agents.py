@@ -22,7 +22,7 @@ from typing import Callable, Protocol, Sequence, TypeVar
 import requests
 
 from .dataset import DialogueSample, Task
-from .errors import AgentError, AgentProtocolError, AgentUnavailableError
+from .errors import AgentError, AgentProtocolError, AgentUnavailableError, PredicateSyntaxError
 from .predicate import (
     Predicate,
     PredicateField,
@@ -369,7 +369,6 @@ class RemoteAgent:
         context_validation: int = 8,
         transport: Transport | None = None,
     ) -> None:
-        self.endpoint = endpoint
         self.retries = retries
         self.context_exemplars = context_exemplars
         self.context_validation = context_validation
@@ -425,7 +424,7 @@ class RemoteAgent:
         for text in raw_predicates:
             try:
                 candidate = parse_predicate(text)
-            except Exception as exc:  # unparseable proposals are dropped, not fatal
+            except PredicateSyntaxError as exc:  # unparseable proposals are dropped
                 self.dropped_proposals += 1
                 logger.info("dropping unparseable proposal %r: %s", text, exc)
                 continue

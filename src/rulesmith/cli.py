@@ -103,7 +103,6 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     cfg = SearchConfig(
         max_iterations=args.iterations,
         proposals_per_expansion=args.proposals,
-        seed=args.seed if args.seed is not None else 0,
     )
 
     harvested = []
@@ -274,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except RulesmithError as exc:
+    except (RulesmithError, ValueError) as exc:  # ValueError: a malformed argument value
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

@@ -18,9 +18,9 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
-from .errors import DatasetError
+from .errors import AgentError, DatasetError, RulesmithError
 
 
 class Task(str, enum.Enum):
@@ -109,8 +109,44 @@ class Rephraser(Protocol):
     def rephrase(self, text: str) -> str: ...
 
 
+def read_json(path: str | Path, error: type[RulesmithError]) -> object:
+    """Parse a whole UTF-8 JSON file; undecodable or invalid content raises ``error``."""
+
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc.reason}") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+        raise error(f"{path} is not valid JSON: {exc}") from None
+
+
+def read_jsonl(
+    path: str | Path, error: type[RulesmithError], where: str = ""
+) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) per non-blank line of a UTF-8 JSONL file.
+
+    Undecodable bytes, invalid JSON and non-object records raise ``error``,
+    whose message starts with ``where`` and the line number.
+    """
+
+    with Path(path).open("r", encoding="utf-8") as handle:
+        try:
+            for line_no, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise error(f"{where}line {line_no}: record must be a JSON object")
+                yield line_no, record
+        except UnicodeDecodeError as exc:
+            raise error(f"{path} is not UTF-8 text: {exc.reason}") from None
+        except ValueError as exc:
+            detail = getattr(exc, "msg", exc)  # JSONDecodeError's message without its position
+            raise error(f"{where}line {line_no}: invalid JSON ({detail})") from None
+
+
 def load_taxonomy(path: str | Path) -> LabelTaxonomy:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = read_json(path, DatasetError)
     if not isinstance(raw, dict):
         raise DatasetError("taxonomy file must contain a JSON object")
     labels: dict[str, tuple[str, ...]] = {}
@@ -197,21 +233,12 @@ def load_dataset(path: str | Path, taxonomy: LabelTaxonomy) -> list[DialogueSamp
 
     samples: list[DialogueSample] = []
     seen_ids: set[str] = set()
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {line_no}: invalid JSON ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise DatasetError(f"line {line_no}: record must be a JSON object")
-            sample = _parse_record(record, line_no, taxonomy)
-            if sample.id in seen_ids:
-                raise DatasetError(f"line {line_no}: duplicate id {sample.id!r}")
-            seen_ids.add(sample.id)
-            samples.append(sample)
+    for line_no, record in read_jsonl(path, DatasetError):
+        sample = _parse_record(record, line_no, taxonomy)
+        if sample.id in seen_ids:
+            raise DatasetError(f"line {line_no}: duplicate id {sample.id!r}")
+        seen_ids.add(sample.id)
+        samples.append(sample)
     return samples
 
 
@@ -241,15 +268,15 @@ def generate_validation(
     rephraser: Rephraser,
     per_sample: int = 1,
     *,
-    retry_budget: int = 3,
     max_workers: int = 1,
 ) -> tuple[list[DialogueSample], int]:
     """Produce rephrased copies of the training samples for validation.
 
     Each copy keeps the source's task, gold label, OCR text and image ref;
-    only the turn texts pass through the rephraser. A copy whose rephrase
-    calls keep failing after ``retry_budget`` attempts is skipped. Returns
-    the copies sorted by derived id together with the skip tally.
+    only the turn texts pass through the rephraser, once per turn. A copy
+    whose rephrase raises ``AgentError`` is skipped; retrying is the
+    rephraser's own business. Returns the copies sorted by derived id
+    together with the skip tally.
     """
 
     if per_sample < 1:
@@ -258,22 +285,13 @@ def generate_validation(
         if sample.gold_label is None:
             raise DatasetError(f"sample {sample.id!r} has no gold_label; cannot rephrase")
 
-    def rephrase_with_retries(text: str) -> str:
-        last: Exception | None = None
-        for _ in range(retry_budget):
-            try:
-                return rephraser.rephrase(text)
-            except Exception as exc:  # noqa: BLE001 - any rephraser failure is retryable
-                last = exc
-        raise last if last is not None else RuntimeError("rephraser produced no result")
-
     def make_copy(source: DialogueSample, copy_index: int) -> DialogueSample | None:
         try:
             turns = tuple(
-                Turn(speaker=t.speaker, text=rephrase_with_retries(t.text))
+                Turn(speaker=t.speaker, text=rephraser.rephrase(t.text))
                 for t in source.turns
             )
-        except Exception:  # noqa: BLE001 - budget exhausted, skip this copy
+        except AgentError:
             return None
         return DialogueSample(
             id=derived_id(source.id, copy_index),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .dataset import DialogueSample, LabelTaxonomy, Task
+from .dataset import DialogueSample, LabelTaxonomy, Task, read_json
 from .errors import EvaluationError
 from .inference import Prediction
 
@@ -173,7 +173,7 @@ def save_report(report: EvalReport, path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> dict:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json(path, EvaluationError)
     if not isinstance(doc, dict) or "oss" not in doc:
         raise EvaluationError("report file does not look like an evaluation report")
     return doc

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 from .agents import Transport, extract_fenced_json, http_chat_transport, structured_call
-from .dataset import DialogueSample, LabelTaxonomy, sample_to_record
+from .dataset import DialogueSample, LabelTaxonomy, read_jsonl, sample_to_record
 from .errors import AgentError, AgentProtocolError, PredictorError, RulesmithError
 from .predicate import Rule, SampleIndex
 from .rulebase import RuleBase
@@ -166,28 +166,35 @@ def match_rules(rulebase: RuleBase, sample: DialogueSample) -> list[Rule]:
 
 def arbitrate(
     fired: Sequence[Rule],
-    predictor_label: str,
+    predictor_label: str | None,
     *,
     sample_id: str,
     override_threshold: float = DEFAULT_OVERRIDE_THRESHOLD,
 ) -> Prediction:
-    """Let the best fired rule override the classifier if it is trusted enough."""
+    """Let the best fired rule override the classifier if it is trusted enough.
 
-    if fired and fired[0].reward >= override_threshold:
+    ``predictor_label=None`` means the classifier failed on this sample: the
+    best fired rule then answers regardless of threshold, and with no fired
+    rule the prediction abstains.
+    """
+
+    failed = predictor_label is None
+    classifier_label = ABSTAIN_LABEL if failed else predictor_label
+    if fired and (failed or fired[0].reward >= override_threshold):
         top = fired[0]
         return Prediction(
             sample_id=sample_id,
             label=top.label,
             source=PredictionSource.RULE,
             fired_rule_id=top.id,
-            predictor_label=predictor_label,
+            predictor_label=classifier_label,
         )
     return Prediction(
         sample_id=sample_id,
-        label=predictor_label,
+        label=classifier_label,
         source=PredictionSource.PREDICTOR,
         fired_rule_id=None,
-        predictor_label=predictor_label,
+        predictor_label=classifier_label,
     )
 
 
@@ -217,11 +224,12 @@ def predict_batch(
 ) -> BatchResult:
     """Predict every sample in input order.
 
-    When the classifier errors on a sample, the best fired rule answers
-    regardless of threshold; with no fired rule the prediction abstains.
-    More than ``failure_budget`` classifier failures abort the batch.
+    A classifier error on a sample reaches ``arbitrate`` as a missing
+    label. More than ``failure_budget`` classifier failures abort the batch.
     """
 
+    if not 0.0 <= override_threshold <= 1.0:
+        raise ValueError(f"override_threshold must be in [0, 1], got {override_threshold!r}")
     predictions: list[Prediction] = []
     report = BatchReport()
     for sample, fired in zip(samples, _fired_rules(rulebase, samples)):
@@ -234,37 +242,20 @@ def predict_batch(
                 raise PredictorError(
                     f"predictor exceeded the failure budget of {failure_budget}: {exc}"
                 ) from exc
-            if fired:
-                top = fired[0]
-                report.rule_fallbacks += 1
-                predictions.append(
-                    Prediction(
-                        sample_id=sample.id,
-                        label=top.label,
-                        source=PredictionSource.RULE,
-                        fired_rule_id=top.id,
-                        predictor_label=ABSTAIN_LABEL,
-                    )
-                )
-            else:
-                report.abstained += 1
-                predictions.append(
-                    Prediction(
-                        sample_id=sample.id,
-                        label=ABSTAIN_LABEL,
-                        source=PredictionSource.PREDICTOR,
-                        fired_rule_id=None,
-                        predictor_label=ABSTAIN_LABEL,
-                    )
-                )
-            continue
+            predictor_label = None
         prediction = arbitrate(
             fired,
             predictor_label,
             sample_id=sample.id,
             override_threshold=override_threshold,
         )
-        if prediction.source is PredictionSource.RULE:
+        by_rule = prediction.source is PredictionSource.RULE
+        if predictor_label is None:
+            if by_rule:
+                report.rule_fallbacks += 1
+            else:
+                report.abstained += 1
+        elif by_rule:
             report.from_rules += 1
         else:
             report.from_predictor += 1
@@ -292,28 +283,19 @@ def save_predictions(predictions: Iterable[Prediction], path: str | Path) -> Non
 
 def load_predictions(path: str | Path) -> list[Prediction]:
     predictions: list[Prediction] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RulesmithError(
-                    f"prediction file line {line_no}: invalid JSON ({exc.msg})"
-                ) from None
-            try:
-                predictions.append(
-                    Prediction(
-                        sample_id=record["id"],
-                        label=record["label"],
-                        source=PredictionSource(record["source"]),
-                        fired_rule_id=record.get("fired_rule_id"),
-                        predictor_label=record["predictor_label"],
-                    )
+    for line_no, record in read_jsonl(path, RulesmithError, "prediction file "):
+        try:
+            predictions.append(
+                Prediction(
+                    sample_id=record["id"],
+                    label=record["label"],
+                    source=PredictionSource(record["source"]),
+                    fired_rule_id=record.get("fired_rule_id"),
+                    predictor_label=record["predictor_label"],
                 )
-            except (KeyError, ValueError) as exc:
-                raise RulesmithError(
-                    f"prediction file line {line_no}: malformed record ({exc})"
-                ) from None
+            )
+        except (KeyError, ValueError) as exc:
+            raise RulesmithError(
+                f"prediction file line {line_no}: malformed record ({exc})"
+            ) from None
     return predictions

@@ -31,7 +31,6 @@ class SearchNode:
 
     state: frozenset[Predicate]
     parent: SearchNode | None = None
-    action: Predicate | None = None
     visits: int = 0
     total_value: float = 0.0
     children: dict[Predicate, "SearchNode"] = field(default_factory=dict)
@@ -49,7 +48,6 @@ class SearchConfig:
     exploration: float = math.sqrt(2)
     proposals_per_expansion: int = 5
     max_predicates: int = MAX_RULE_PREDICATES
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -197,9 +195,7 @@ def run_search(
                 continue
 
             action = node.untried.pop(0)
-            child = SearchNode(
-                state=node.state | {action}, parent=node, action=action
-            )
+            child = SearchNode(state=node.state | {action}, parent=node)
             node.children[action] = child
 
             # Evaluation replaces rollout: the agent self-assesses the rule.

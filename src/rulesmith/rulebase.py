@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import DialogueSample, Task
-from .errors import RuleBaseError
+from .dataset import DialogueSample, Task, read_json
+from .errors import PredicateSyntaxError, RuleBaseError
 from .predicate import (
     Predicate,
     Rule,
@@ -75,25 +75,26 @@ def filter_by_reward(
     rules: Sequence[Rule], min_reward: float = DEFAULT_MIN_REWARD
 ) -> list[Rule]:
     """Keep rules whose reward is at least the threshold; the boundary stays."""
+    if not 0.0 <= min_reward <= 1.0:
+        raise ValueError(f"min_reward must be in [0, 1], got {min_reward!r}")
     return [r for r in rules if r.reward >= min_reward]
 
 
-def _dominates(a: Rule, b: Rule) -> bool:
-    return (
-        a.task is b.task
-        and a.label == b.label
-        and a.reward > b.reward
-        and a.predicates < b.predicates
-    )
-
-
 def _dominated_indices(rules: Sequence[Rule]) -> set[int]:
+    """Indices of rules that a rule of the same task and label dominates."""
+
+    groups: dict[tuple[Task, str], list[int]] = {}
+    for i, rule in enumerate(rules):
+        groups.setdefault((rule.task, rule.label), []).append(i)
     dominated: set[int] = set()
-    for j, b in enumerate(rules):
-        for a in rules:
-            if a is not b and _dominates(a, b):
+    for members in groups.values():
+        for j in members:
+            b = rules[j]
+            if any(
+                rules[i].reward > b.reward and rules[i].predicates < b.predicates
+                for i in members
+            ):
                 dominated.add(j)
-                break
     return dominated
 
 
@@ -146,6 +147,8 @@ def online_validate(
     Kept rules carry the measured precision as their reward from here on.
     """
 
+    if not 0.0 <= min_precision <= 1.0:
+        raise ValueError(f"min_precision must be in [0, 1], got {min_precision!r}")
     if not validation:
         raise RuleBaseError("cannot validate rules against an empty validation set")
     kept: list[Rule] = []
@@ -197,9 +200,11 @@ def _rule_from_record(record: dict, index: int) -> Rule:
     raw_predicates = record.get("predicates")
     if not isinstance(raw_predicates, list) or not raw_predicates:
         raise fail("predicates", "must be a non-empty array")
+    if not all(isinstance(text, str) for text in raw_predicates):
+        raise fail("predicates", "must contain only strings")
     try:
         predicates = frozenset(parse_predicate(text) for text in raw_predicates)
-    except Exception as exc:
+    except PredicateSyntaxError as exc:
         raise fail("predicates", f"contains an invalid predicate: {exc}") from None
     reward = record.get("reward")
     if not isinstance(reward, (int, float)) or isinstance(reward, bool):
@@ -221,7 +226,7 @@ def _rule_from_record(record: dict, index: int) -> Rule:
             confidence=float(confidence),
             source=source,
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer past float range
         raise RuleBaseError(f"rule entry {index}: {exc}") from None
 
 
@@ -241,10 +246,7 @@ def save_rulebase(rulebase: RuleBase, path: str | Path) -> None:
 
 
 def load_rulebase(path: str | Path) -> RuleBase:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise RuleBaseError(f"rule base file is not valid JSON: {exc.msg}") from None
+    doc = read_json(path, RuleBaseError)
     if not isinstance(doc, dict):
         raise RuleBaseError("rule base file must contain a JSON object")
     version = doc.get("version")

@@ -117,7 +117,7 @@ def run_planted_search(labels, per_label, seed, iterations, noise=0.0):
     corpus = build_planted_corpus(labels, per_label=per_label, seed=seed)
     split = stratified_split(corpus, 0.4, seed=seed)
     agent = MockAgent(split.train, seed=seed, noise=noise)
-    cfg = SearchConfig(max_iterations=iterations, seed=seed)
+    cfg = SearchConfig(max_iterations=iterations)
     results = {
         label: run_search(label, Task.INTENT, split, agent, cfg) for label in labels
     }

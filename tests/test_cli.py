@@ -112,6 +112,65 @@ def test_no_rulesmith_function_keeps_a_process_lifetime_cache():
         assert not cached, f"rulesmith.{info.name} keeps lru_caches: {cached}"
 
 
+def test_no_rulesmith_module_catches_every_exception():
+    """Broad handlers turn programming errors into silent skips or retries."""
+    import ast
+    from pathlib import Path
+
+    import rulesmith
+
+    broad = {"Exception", "BaseException"}
+    offenders = []
+    for path in sorted(Path(rulesmith.__path__[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(c is None or (isinstance(c, ast.Name) and c.id in broad) for c in caught):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"bare or catch-all except clauses: {offenders}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "--predictor", "stub:abc"],
+        ["predict", "--predictor", "stub:2"],
+        ["predict", "--predictor", "stub:0.5", "--override-threshold", "7"],
+        ["rephrase", "--per-sample", "0"],
+        ["induce", "--iterations", "0"],
+        ["induce", "--proposals", "0"],
+        ["induce", "--noise", "2"],
+        ["filter", "--min-reward", "5"],
+        ["eval", "--labels", "BROKEN"],
+        ["report", "--report", "BROKEN"],
+    ],
+)
+def test_malformed_values_are_structured_errors(workspace, capsys, argv):
+    tmp, train, val, tax = workspace
+    rules = tmp / "rules.json"
+    save_rulebase(RuleBase(rules=(), metadata=RuleBaseMetadata(created_at="x")), rules)
+    broken = tmp / "broken.json"
+    broken.write_text("{", encoding="utf-8")
+    preds = tmp / "preds.jsonl"
+    preds.write_text("", encoding="utf-8")
+    required = {
+        "predict": ["--val", val, "--labels", tax, "--rules", rules, "--out", tmp / "p.jsonl"],
+        "rephrase": ["--train", train, "--labels", tax, "--out", tmp / "v.jsonl"],
+        "induce": ["--train", train, "--val", val, "--labels", tax, "--out", tmp / "r.json"],
+        "filter": ["--rules", rules, "--out", tmp / "f.json"],
+        "eval": ["--pred", preds, "--val", val],
+        "report": [],
+    }[argv[0]]
+    args = [str(broken) if a == "BROKEN" else a for a in argv]
+    status = main(args + [str(a) for a in required])
+    assert status == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    error = json.loads(err.strip().splitlines()[-1])
+    assert set(error) == {"error", "message"}
+
+
 def test_filter_keeps_the_boundary_reward(tmp_path, capsys):
     rules = [
         make_rule("below", "refund", [contains("alpha")], 0.79),

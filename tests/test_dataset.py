@@ -7,6 +7,7 @@ import json
 import pytest
 
 from rulesmith import (
+    AgentUnavailableError,
     DatasetError,
     DialogueSample,
     LabelTaxonomy,
@@ -155,7 +156,12 @@ class FailingRephraser:
 
     def rephrase(self, text: str) -> str:
         self.calls += 1
-        raise RuntimeError("endpoint down")
+        raise AgentUnavailableError("endpoint down")
+
+
+class BuggyRephraser:
+    def rephrase(self, text: str) -> str:
+        raise TypeError("bug in the rephraser")
 
 
 class TestGenerateValidation:
@@ -194,8 +200,14 @@ class TestGenerateValidation:
         generated, skipped = generate_validation(train, rephraser, per_sample=1)
         assert generated == []
         assert skipped == 4
-        # 3 attempts per turn before giving up; the sample fails on its first turn
-        assert rephraser.calls == 4 * 3
+        # One call per copy: retrying is the rephraser's job, and the copy
+        # is given up on its first failing turn.
+        assert rephraser.calls == 4
+
+    def test_programming_errors_propagate_instead_of_skipping(self):
+        train = [intent_sample("s0", "refund", "x")]
+        with pytest.raises(TypeError, match="bug in the rephraser"):
+            generate_validation(train, BuggyRephraser(), per_sample=1)
 
     def test_output_sorted_by_derived_id_even_with_workers(self):
         train = [intent_sample(f"s{i}", "refund", "x") for i in range(6)]

@@ -94,6 +94,21 @@ class TestArbitrate:
         p = arbitrate([rule], "refund", sample_id="s", override_threshold=0.8)
         assert p.source is PredictionSource.RULE
 
+    def test_failed_predictor_lets_a_weak_rule_answer(self):
+        rule = make_rule("r", "shipping", [contains("x")], 0.5)
+        p = arbitrate([rule], None, sample_id="s", override_threshold=0.8)
+        assert p.label == "shipping"
+        assert p.source is PredictionSource.RULE
+        assert p.fired_rule_id == "r"
+        assert p.predictor_label == ABSTAIN_LABEL
+
+    def test_failed_predictor_without_fired_rules_abstains(self):
+        p = arbitrate([], None, sample_id="s")
+        assert p.label == ABSTAIN_LABEL
+        assert p.source is PredictionSource.PREDICTOR
+        assert p.fired_rule_id is None
+        assert p.predictor_label == ABSTAIN_LABEL
+
     def test_rule_prediction_requires_rule_id(self):
         with pytest.raises(ValueError):
             Prediction(

@@ -75,7 +75,7 @@ class TestRunSearchWithMock:
     def test_planted_rule_is_recovered_with_perfect_precision(self):
         split = make_split(["refund", "shipping"], per_label=50, seed=3)
         agent = MockAgent(split.train, seed=3, noise=0.0)
-        cfg = SearchConfig(max_iterations=200, seed=3)
+        cfg = SearchConfig(max_iterations=200)
         result = run_search("refund", Task.INTENT, split, agent, cfg)
         assert result.error is None
 
@@ -106,7 +106,7 @@ class TestRunSearchWithMock:
     def test_single_iteration_accounting(self):
         split = make_split(["refund", "shipping"], per_label=10, seed=1)
         agent = MockAgent(split.train, seed=1, noise=0.0)
-        cfg = SearchConfig(max_iterations=1, seed=1)
+        cfg = SearchConfig(max_iterations=1)
         result = run_search("refund", Task.INTENT, split, agent, cfg)
         assert result.evaluations == 1
         assert result.root.visits == 1
@@ -116,7 +116,7 @@ class TestRunSearchWithMock:
     def test_zero_noise_rewards_equal_oracle_precision_exactly(self):
         split = make_split(["refund", "shipping"], per_label=25, seed=7)
         agent = MockAgent(split.train, seed=7, noise=0.0)
-        cfg = SearchConfig(max_iterations=60, seed=7)
+        cfg = SearchConfig(max_iterations=60)
         result = run_search("shipping", Task.INTENT, split, agent, cfg)
         validation = tuple(s for s in split.validation if s.task is Task.INTENT)
         for rule, estimate in result.rules:
@@ -129,14 +129,14 @@ class TestRunSearchWithMock:
         for seed in range(5):
             split = make_split(["refund", "shipping"], per_label=20, seed=seed)
             agent = MockAgent(split.train, seed=seed, noise=0.05)
-            cfg = SearchConfig(max_iterations=40, seed=seed)
+            cfg = SearchConfig(max_iterations=40)
             result = run_search("refund", Task.INTENT, split, agent, cfg)
             assert result.root.visits == result.evaluations
             check_search_tree(result.root)
 
     def test_deterministic_per_seed(self):
         split = make_split(["refund", "shipping"], per_label=20, seed=2)
-        cfg = SearchConfig(max_iterations=50, seed=2)
+        cfg = SearchConfig(max_iterations=50)
         first = run_search(
             "refund", Task.INTENT, split, MockAgent(split.train, seed=2), cfg
         )
@@ -159,7 +159,7 @@ class TestRunSearchWithMock:
             Task.INTENT,
             split,
             agent,
-            SearchConfig(max_iterations=10, seed=4),
+            SearchConfig(max_iterations=10),
             trace_path=trace,
         )
         lines = trace.read_text().strip().splitlines()
@@ -286,7 +286,7 @@ class TestSearchShapes:
         split = make_split(["refund", "shipping"], per_label=15, seed=6)
         agent = MockAgent(split.train, seed=6, noise=0.05)
         result = run_search(
-            "refund", Task.INTENT, split, agent, SearchConfig(max_iterations=120, seed=6)
+            "refund", Task.INTENT, split, agent, SearchConfig(max_iterations=120)
         )
         for rule, _ in result.rules:
             assert 1 <= len(rule.predicates) <= 5
@@ -313,7 +313,7 @@ class TestSearchShapes:
             Task.INTENT,
             split,
             agent,
-            SearchConfig(max_iterations=40, seed=8),
+            SearchConfig(max_iterations=40),
             trace_path=trace,
         )
         counts = [json.loads(line)["evaluations"] for line in trace.read_text().splitlines()]
