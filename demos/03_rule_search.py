@@ -6,7 +6,9 @@ The search tree's root is the empty rule; each level adds one predicate,
 up to five. An agent proposes candidate predicates and self-assesses each
 grown rule with a reward and a confidence; reward x confidence is what
 backpropagates. The deterministic mock agent makes the whole run
-reproducible, down to the byte.
+reproducible, down to the byte. A predicate set reached along two paths
+({a, b} from a then b, or from b then a) is scored by the agent only once
+per search; the second node takes the stored estimate.
 """
 
 import random
@@ -47,7 +49,8 @@ cfg = SearchConfig(max_iterations=100)
 for label in giveaway:
     result = run_search(label, Task.INTENT, split, agent, cfg)
     top_rule, top_estimate = max(result.rules, key=lambda pair: pair[1].reward)
-    print(f"{label}: {result.evaluations} rules evaluated, "
+    print(f"{label}: {result.evaluations} rules evaluated "
+          f"({result.agent_evaluations} scored by the agent, the rest transposed), "
           f"root visits {result.root.visits}")
     predicates = " AND ".join(
         f'{p.field.value} {p.op.value} "{p.value}"' for p in top_rule.sorted_predicates()

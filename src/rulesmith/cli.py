@@ -119,7 +119,8 @@ def _cmd_induce(args: argparse.Namespace) -> int:
             harvested.extend(rule for rule, _ in result.rules)
             print(
                 f"{task.value}/{label}: {len(result.rules)} rules "
-                f"from {result.evaluations} evaluations"
+                f"from {result.evaluations} evaluations "
+                f"({result.agent_evaluations} agent evaluations)"
             )
             if result.error:
                 aborted = result.error

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .dataset import DialogueSample, LabelTaxonomy, Task, read_json
 from .errors import EvaluationError
@@ -92,7 +92,20 @@ def evaluate(
 
     if not samples:
         raise EvaluationError("cannot evaluate an empty gold dataset")
-    by_id: Mapping[str, Prediction] = {p.sample_id: p for p in predictions}
+    by_id: dict[str, Prediction] = {}
+    for prediction in predictions:
+        if prediction.sample_id in by_id:
+            raise EvaluationError(
+                f"more than one prediction for sample id {prediction.sample_id!r}"
+            )
+        by_id[prediction.sample_id] = prediction
+    gold_ids = {sample.id for sample in samples}
+    unknown = [sample_id for sample_id in by_id if sample_id not in gold_ids]
+    if unknown:
+        raise EvaluationError(
+            f"{len(unknown)} prediction(s) for ids not in the gold set, "
+            f"the first {unknown[0]!r}"
+        )
     gold_by_task: dict[Task, list[str]] = {Task.INTENT: [], Task.IMAGE_SCENE: []}
     pred_by_task: dict[Task, list[str]] = {Task.INTENT: [], Task.IMAGE_SCENE: []}
     for sample in samples:
@@ -172,10 +185,53 @@ def save_report(report: EvalReport, path: str | Path) -> None:
     )
 
 
+def _is_number(value: object) -> bool:
+    """A JSON number that renders as a float: not a bool, not past float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_report(path: str | Path) -> dict:
+    """Read a saved report, checking every field ``format_report`` renders."""
+
     doc = read_json(path, EvaluationError)
     if not isinstance(doc, dict) or "oss" not in doc:
         raise EvaluationError("report file does not look like an evaluation report")
+
+    def malformed(detail: str) -> EvaluationError:
+        return EvaluationError(f"{path} is a malformed report: {detail}")
+
+    if not _is_number(doc["oss"]):
+        raise malformed('"oss" must be a number')
+    for key in ("dis", "iss", "oss_mean"):
+        if doc.get(key) is not None and not _is_number(doc[key]):
+            raise malformed(f'"{key}" must be a number or null')
+    counts = doc.get("counts", {})
+    if not isinstance(counts, dict) or not all(_is_int(v) for v in counts.values()):
+        raise malformed('"counts" must be an object with integer values')
+    rows = doc.get("per_class", [])
+    if not isinstance(rows, list):
+        raise malformed('"per_class" must be a list')
+    for i, row in enumerate(rows):
+        if not (
+            isinstance(row, dict)
+            and isinstance(row.get("label"), str)
+            and all(_is_number(row.get(key)) for key in ("precision", "recall", "f1"))
+            and _is_int(row.get("support"))
+        ):
+            raise malformed(
+                f'"per_class" entry {i} must hold a string "label", numbers '
+                f'"precision", "recall" and "f1", and an integer "support"'
+            )
     return doc
 
 

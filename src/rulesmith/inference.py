@@ -284,6 +284,9 @@ def save_predictions(predictions: Iterable[Prediction], path: str | Path) -> Non
 def load_predictions(path: str | Path) -> list[Prediction]:
     predictions: list[Prediction] = []
     for line_no, record in read_jsonl(path, RulesmithError, "prediction file "):
+        for key in ("id", "label", "predictor_label"):
+            if key in record and not isinstance(record[key], str):
+                raise RulesmithError(f'prediction file line {line_no}: "{key}" must be a string')
         try:
             predictions.append(
                 Prediction(

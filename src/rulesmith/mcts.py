@@ -6,6 +6,17 @@ agent-proposed predicate, has the agent self-assess the resulting rule in
 place of a random rollout, and backpropagates reward x confidence along
 the path. Every evaluated node is harvested as a candidate rule; filtering
 is the rule base's job, not the search's.
+
+Different insertion orders reach the same predicate set ({a, b} from a
+then b, or from b then a). A transposition table, two dicts that live for
+one ``run_search`` call, maps each set to the agent's estimate of it and
+to its proposal list, so the agent is asked to score a set once and to
+propose from it once per search. Both answers depend on the set alone (the
+agent context holds nothing else that varies within a search), so a
+transposed node takes the stored answer unchanged: the tree, its visit
+counts and the harvest are those of a search without the table.
+``SearchResult.evaluations`` counts expansions; ``agent_evaluations``
+counts the rules the agent actually scored.
 """
 
 from __future__ import annotations
@@ -67,7 +78,10 @@ class SearchResult:
     rules: list[tuple[Rule, RewardEstimate]]
     root: SearchNode
     iterations: int
+    # Expansions: one harvested rule each, and the number behind rule ids.
     evaluations: int
+    # Distinct predicate sets the agent scored; the rest were transpositions.
+    agent_evaluations: int
     error: str | None = None
 
 
@@ -129,6 +143,9 @@ def run_search(
         raise ValueError(f"no validation samples for task {task.value}")
 
     root = SearchNode(state=frozenset())
+    # The transposition table, keyed by predicate set.
+    scored: dict[frozenset[Predicate], RewardEstimate] = {}
+    proposed: dict[frozenset[Predicate], list[Predicate]] = {}
     harvested: list[tuple[Rule, RewardEstimate]] = []
     evaluations = 0
     iterations = 0
@@ -138,14 +155,16 @@ def run_search(
     if trace_path is not None:
         trace = Path(trace_path).open("w", encoding="utf-8")
 
-    def make_context(node: SearchNode, siblings: frozenset[Predicate]) -> AgentContext:
+    def make_context(state: frozenset[Predicate]) -> AgentContext:
+        # No siblings: a node is fetched before it has children or untried
+        # actions. So the context depends on the state alone, which makes
+        # the transposition table exact.
         return AgentContext(
             task=task,
             label=label,
             exemplars=exemplars,
             validation=validation,
-            current=node.state,
-            siblings=siblings,
+            current=state,
         )
 
     try:
@@ -166,22 +185,21 @@ def run_search(
 
             # Expansion: fetch candidate actions once per node, lazily.
             if not node.fetched:
-                already = frozenset(node.children) | frozenset(node.untried)
-                try:
-                    proposals = agent.propose_predicates(
-                        make_context(node, already), cfg.proposals_per_expansion
-                    )
-                except AgentError as exc:
-                    error = str(exc)
-                    break
+                actions = proposed.get(node.state)
+                if actions is None:
+                    try:
+                        proposals = agent.propose_predicates(
+                            make_context(node.state), cfg.proposals_per_expansion
+                        )
+                    except AgentError as exc:
+                        error = str(exc)
+                        break
+                    # Drop predicates already in the state, and repeats.
+                    actions = list(dict.fromkeys(p for p in proposals if p not in node.state))
+                    proposed[node.state] = actions
                 node.fetched = True
-                seen = set(node.state) | set(already)
-                for p in proposals:
-                    if p in seen:
-                        continue
-                    seen.add(p)
-                    node.untried.append(p)
-                if not node.untried and not node.children:
+                node.untried = list(actions)
+                if not node.untried:
                     # Dead end: nothing to grow here, ever.
                     node.exhausted = True
                     _refresh_exhaustion(node.parent, cfg.max_predicates)
@@ -208,11 +226,14 @@ def run_search(
                 confidence=0.0,
                 source=RuleSource.MCTS,
             )
-            try:
-                estimate = agent.evaluate_rule(make_context(child, frozenset()), rule)
-            except AgentError as exc:
-                error = str(exc)
-                break
+            estimate = scored.get(child.state)
+            if estimate is None:
+                try:
+                    estimate = agent.evaluate_rule(make_context(child.state), rule)
+                except AgentError as exc:
+                    error = str(exc)
+                    break
+                scored[child.state] = estimate
             child.evaluation = estimate
             evaluations += 1
             harvested.append(
@@ -263,11 +284,13 @@ def run_search(
             trace.close()
 
     logger.info(
-        "search %s/%s finished: %d iterations, %d rules, best reward %.3f%s",
+        "search %s/%s finished: %d iterations, %d rules from %d agent evaluations, "
+        "best reward %.3f%s",
         task.value,
         label,
         iterations,
         len(harvested),
+        len(scored),
         best_reward,
         f" (aborted: {error})" if error else "",
     )
@@ -276,5 +299,6 @@ def run_search(
         root=root,
         iterations=iterations,
         evaluations=evaluations,
+        agent_evaluations=len(scored),
         error=error,
     )

@@ -171,6 +171,48 @@ def test_malformed_values_are_structured_errors(workspace, capsys, argv):
     assert set(error) == {"error", "message"}
 
 
+def _predictions_for(val, edit):
+    """Prediction lines for ``edit`` applied to the list of gold sample ids."""
+    taxonomy = LabelTaxonomy(intent=tuple(LABELS), image_scene=())
+    ids = edit([s.id for s in load_dataset(val, taxonomy)])
+    return "".join(
+        json.dumps({"id": i, "label": "refund", "source": "predictor",
+                    "fired_rule_id": None, "predictor_label": "refund"}) + "\n"
+        for i in ids
+    )
+
+
+@pytest.mark.parametrize(
+    "command, body, error",
+    [
+        ("eval", lambda val: _predictions_for(val, lambda ids: ids + ids[:1]),
+         "EvaluationError"),
+        ("eval", lambda val: _predictions_for(val, lambda ids: ids + ["not-in-gold"]),
+         "EvaluationError"),
+        ("eval", lambda val: _predictions_for(val, lambda ids: ids + [5]),
+         "RulesmithError"),
+        ("report", lambda val: '{"oss": 0.5, "per_class": [1]}', "EvaluationError"),
+        ("report", lambda val: '{"oss": 0.5, "counts": []}', "EvaluationError"),
+    ],
+    ids=["eval-duplicate-id", "eval-unknown-id", "eval-number-id", "report-per-class",
+         "report-counts"],
+)
+def test_malformed_input_files_are_structured_errors(workspace, capsys, command, body, error):
+    tmp, train, val, tax = workspace
+    path = tmp / "input"
+    path.write_text(body(val), encoding="utf-8")
+    argv = {
+        "eval": ["eval", "--pred", path, "--val", val, "--labels", tax],
+        "report": ["report", "--report", path],
+    }[command]
+    assert main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = json.loads(err.strip().splitlines()[-1])
+    assert set(last) == {"error", "message"}
+    assert last["error"] == error
+
+
 def test_filter_keeps_the_boundary_reward(tmp_path, capsys):
     rules = [
         make_rule("below", "refund", [contains("alpha")], 0.79),

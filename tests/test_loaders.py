@@ -2,7 +2,8 @@
 
 Inputs are arbitrary bytes, arbitrary JSON documents and JSONL lines, and
 documents built from the loaders' own field names and plausible values, so
-that the examples also get past the first shape checks.
+that the examples also get past the first shape checks. A report that loads
+must also render, since ``rulesmith report`` prints it straight away.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from rulesmith import (
     load_rulebase,
     load_taxonomy,
 )
-from rulesmith.harness import load_report
+from rulesmith.harness import format_report, load_report
 
 TAXONOMY = LabelTaxonomy(intent=("refund", "shipping"), image_scene=("receipt",))
 
@@ -29,14 +30,15 @@ LOADERS = {
     "taxonomy": load_taxonomy,
     "rulebase": load_rulebase,
     "predictions": load_predictions,
-    "report": load_report,
+    "report": lambda path: format_report(load_report(path)),
 }
 
 KEYS = [
     "id", "task", "turns", "speaker", "text", "ocr_text", "image_ref", "gold_label",
     "label", "source", "fired_rule_id", "predictor_label", "intent", "image_scene",
     "version", "metadata", "created_at", "dataset_digest", "config_digest", "rules",
-    "predicates", "reward", "confidence", "oss",
+    "predicates", "reward", "confidence", "oss", "dis", "iss", "oss_mean", "counts",
+    "per_class", "precision", "recall", "f1", "support",
 ]
 PLAUSIBLE = st.sampled_from([
     "intent", "image_scene", "user", "service_rep", "refund", "receipt", "rule",
@@ -68,6 +70,11 @@ PREDICTION = {
     "predictor_label": "shipping",
 }
 METADATA = {"created_at": "x", "dataset_digest": "", "config_digest": ""}
+CLASS_ROW = {"label": "refund", "precision": 0.5, "recall": 1.0, "f1": 0.6667, "support": 2}
+REPORT = {
+    "dis": 0.5, "iss": None, "oss": 0.5, "oss_mean": 0.5,
+    "counts": {"intent": 2, "image_scene": 0}, "per_class": [CLASS_ROW],
+}
 
 
 def near(valid: dict) -> st.SearchStrategy[dict]:
@@ -89,6 +96,9 @@ documents = st.one_of(
         shaped_values,
         near({"intent": ["refund"], "image_scene": ["receipt"]}),
         near({"oss": 0.5}),
+        near(REPORT),
+        near(REPORT["counts"]).map(lambda counts: {**REPORT, "counts": counts}),
+        st.lists(near(CLASS_ROW), max_size=3).map(lambda rows: {**REPORT, "per_class": rows}),
         near({"version": 1, "metadata": METADATA, "rules": [RULE]}),
         st.lists(near(RULE), max_size=3).map(
             lambda rules: {"version": 1, "metadata": METADATA, "rules": rules}
@@ -105,6 +115,8 @@ documents = st.one_of(
 @example(content=b"\xff\xfe")
 @example(content=b"{")
 @example(content=b'[1]\n"x"\n')
+@example(content=b'{"oss": 0.5, "per_class": [1]}')
+@example(content=b'{"oss": 0.5, "counts": []}')
 @example(content=json.dumps(
     {"version": 1, "metadata": METADATA, "rules": [{**RULE, "reward": 10**400}]}
 ).encode("utf-8"))

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from rulesmith import (
+    AgentContext,
     AgentUnavailableError,
     MockAgent,
     RewardEstimate,
@@ -331,3 +332,93 @@ class TestSearchConfig:
             SearchConfig(max_predicates=6)
         with pytest.raises(ValueError):
             SearchConfig(proposals_per_expansion=0)
+
+
+class CountingAgent:
+    """Passes every call on to ``inner`` and records the state it was made for."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.proposed_states = []
+        self.scored_states = []
+
+    def propose_predicates(self, ctx, k):
+        self.proposed_states.append(ctx.current)
+        return self.inner.propose_predicates(ctx, k)
+
+    def evaluate_rule(self, ctx, rule):
+        self.scored_states.append(rule.predicates)
+        return self.inner.evaluate_rule(ctx, rule)
+
+    def rephrase(self, text):
+        return self.inner.rephrase(text)
+
+
+class DriftingAgent(CountingAgent):
+    """Mock proposals, but a different reward on every evaluation call."""
+
+    def evaluate_rule(self, ctx, rule):
+        super().evaluate_rule(ctx, rule)
+        return RewardEstimate(reward=1 / (1 + len(self.scored_states)), confidence=1.0)
+
+
+class TestTranspositionTable:
+    def search(self, agent_type=CountingAgent, seed=5, iterations=80):
+        split = make_split(["refund", "shipping"], per_label=20, seed=seed)
+        agent = agent_type(MockAgent(split.train, seed=seed, noise=0.05))
+        result = run_search(
+            "refund", Task.INTENT, split, agent, SearchConfig(max_iterations=iterations)
+        )
+        return split, agent, result
+
+    def test_each_state_is_scored_and_proposed_at_most_once(self):
+        _, agent, result = self.search()
+        distinct = {rule.predicates for rule, _ in result.rules}
+        assert len(distinct) < result.evaluations  # the search did transpose
+        assert len(agent.scored_states) == len(set(agent.scored_states))
+        assert len(agent.proposed_states) == len(set(agent.proposed_states))
+        assert result.agent_evaluations == len(agent.scored_states) == len(distinct)
+
+    def test_harvested_estimates_equal_a_fresh_evaluation(self):
+        split, _, result = self.search()
+        fresh_agent = MockAgent(split.train, seed=5, noise=0.05)
+        ctx = AgentContext(
+            task=Task.INTENT,
+            label="refund",
+            exemplars=(),
+            validation=tuple(s for s in split.validation if s.task is Task.INTENT),
+        )
+        for rule, estimate in result.rules:
+            fresh = fresh_agent.evaluate_rule(ctx, rule)
+            assert (rule.reward, rule.confidence) == (fresh.reward, fresh.confidence)
+            assert estimate == fresh
+
+    def test_rule_ids_count_expansions_and_the_tree_accounts(self):
+        _, _, result = self.search()
+        ids = [rule.id for rule, _ in result.rules]
+        assert ids == [
+            f"mcts:intent:refund:{n:04d}" for n in range(1, result.evaluations + 1)
+        ]
+        assert result.root.visits == result.evaluations
+        check_search_tree(result.root)
+
+    def test_equal_predicate_sets_share_one_estimate(self):
+        _, _, result = self.search(agent_type=DriftingAgent)
+        rewards = {}
+        for rule, _ in result.rules:
+            rewards.setdefault(rule.predicates, []).append(rule.reward)
+        assert any(len(values) > 1 for values in rewards.values())  # some set recurs
+        assert all(len(set(values)) == 1 for values in rewards.values())
+
+    def test_no_table_outlives_a_search(self):
+        split = make_split(["refund", "shipping"], per_label=20, seed=5)
+        agent = CountingAgent(MockAgent(split.train, seed=5, noise=0.05))
+        cfg = SearchConfig(max_iterations=80)
+        counts = []
+        for _ in range(2):
+            before = len(agent.scored_states), len(agent.proposed_states)
+            run_search("refund", Task.INTENT, split, agent, cfg)
+            counts.append((len(agent.scored_states) - before[0],
+                           len(agent.proposed_states) - before[1]))
+        assert counts[0] == counts[1]
+        assert counts[0][0] > 0
