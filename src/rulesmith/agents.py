@@ -12,14 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import random
 import re
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence, TypeVar
-
-import requests
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence, TypeVar
 
 from .dataset import DialogueSample, Task
 from .errors import AgentError, AgentProtocolError, AgentUnavailableError, PredicateSyntaxError
@@ -34,6 +33,9 @@ from .predicate import (
     parse_predicate,
     render_predicate,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -264,9 +266,13 @@ def http_chat_transport(
     api_key_env: str = AGENT_KEY_ENV,
     session: requests.Session | None = None,
 ) -> Transport:
-    """POST messages to a chat-completions endpoint, return the reply text."""
+    """POST messages to a chat-completions endpoint, return the reply text.
 
-    import os
+    ``requests`` is imported here rather than at module level, so that runs
+    with the mock agent and the stub predictor never load it.
+    """
+
+    import requests
 
     http = session or requests.Session()
 
@@ -304,9 +310,11 @@ def structured_call(
 
     A reply that ``parse`` rejects with ``AgentProtocolError`` is retried
     with the parse error echoed back to the model; a transport failure is
-    retried as-is. Once the budget is spent the last error is raised:
-    ``AgentProtocolError`` for an invalid reply, ``AgentUnavailableError``
-    for a transport failure.
+    retried as-is. A transport failure is any ``OSError``: socket errors,
+    timeouts, and every ``requests.RequestException``, HTTP error statuses
+    and undecodable bodies included. Once the budget is spent the last error
+    is raised: ``AgentProtocolError`` for an invalid reply,
+    ``AgentUnavailableError`` for a transport failure.
     """
 
     last_error: AgentError = AgentUnavailableError("retry budget is zero")
@@ -314,7 +322,7 @@ def structured_call(
     for attempt in range(1, retries + 1):
         try:
             content = send(conversation)
-        except requests.RequestException as exc:
+        except OSError as exc:  # requests.RequestException is an OSError
             last_error = AgentUnavailableError(f"transport failure: {exc}")
             logger.warning("transport failure (attempt %d): %s", attempt, exc)
             continue

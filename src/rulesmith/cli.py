@@ -71,17 +71,25 @@ def _metadata(train_path: str, config: dict, seed: int | None) -> RuleBaseMetada
     )
 
 
+def _endpoint(spec: str, option: str, local: str) -> str:
+    """``spec`` if it is an endpoint URL; a mistyped local spec fails here,
+    before any request is sent or any output file is written."""
+    if not spec.startswith(("http://", "https://")):
+        raise ValueError(f"{option} must be {local} or an http(s):// URL, got {spec!r}")
+    return spec
+
+
 def _build_agent(spec: str, corpus, seed: int | None, noise: float) -> Agent:
     if spec == "mock":
         return MockAgent(corpus, seed=seed if seed is not None else 0, noise=noise)
-    return RemoteAgent(spec)
+    return RemoteAgent(_endpoint(spec, "--agent", "'mock'"))
 
 
 def _build_predictor(spec: str, taxonomy, seed: int | None) -> Predictor:
     if spec.startswith("stub:"):
         accuracy = float(spec.split(":", 1)[1])
         return StubPredictor(taxonomy, accuracy, seed=seed if seed is not None else 0)
-    return RemotePredictor(spec, taxonomy)
+    return RemotePredictor(_endpoint(spec, "--predictor", "'stub:<accuracy>'"), taxonomy)
 
 
 def _cmd_rephrase(args: argparse.Namespace) -> int:

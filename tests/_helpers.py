@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
+import rulesmith
 from rulesmith import (
     DialogueSample,
     LabelTaxonomy,
@@ -116,6 +124,72 @@ def make_rule(
         confidence=confidence,
         source=source,
     )
+
+
+# --- processes and endpoints -------------------------------------------------
+
+SRC_DIR = Path(rulesmith.__file__).resolve().parents[1]
+
+
+def run_python(code: str, *args: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports rulesmith from this
+    source tree; return its stdout."""
+
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def chat_body(content: str) -> str:
+    """A chat-completions response body whose first choice says ``content``."""
+    return json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]})
+
+
+class ScriptedHTTPServer:
+    """Loopback endpoint answering each POST with the next ``(status, body)``.
+
+    Records every request body it receives. As a context manager it serves
+    from a daemon thread on a port the OS picks, until the block ends.
+    """
+
+    def __init__(self, replies: list[tuple[int, str]]) -> None:
+        self.replies = list(replies)
+        self.requests: list[dict] = []
+        lock = threading.Lock()
+        server = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self) -> None:
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                with lock:
+                    server.requests.append(json.loads(body))
+                    status, reply = server.replies.pop(0)
+                payload = reply.encode("utf-8")
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            def log_message(self, format, *args) -> None:  # keep test output quiet
+                pass
+
+        self._http = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self._http.server_address[1]}/v1/chat/completions"
+
+    def __enter__(self) -> ScriptedHTTPServer:
+        threading.Thread(target=self._http.serve_forever, daemon=True).start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._http.shutdown()
+        self._http.server_close()
 
 
 # --- independent oracles ------------------------------------------------------

@@ -226,6 +226,23 @@ class TestRemoteAgent:
         with pytest.raises(AgentUnavailableError):
             agent.propose_predicates(self.make_ctx(), k=3)
 
+    @pytest.mark.parametrize(
+        "error", [ConnectionResetError("reset by peer"), TimeoutError("timed out")]
+    )
+    def test_socket_errors_exhaust_into_unavailable(self, error):
+        transport = ScriptedTransport([error] * 3)
+        agent = RemoteAgent("http://example", transport=transport)
+        with pytest.raises(AgentUnavailableError, match="transport failure"):
+            agent.propose_predicates(self.make_ctx(), k=3)
+        assert len(transport.conversations) == 3
+
+    def test_programming_errors_are_not_retried_away(self):
+        transport = ScriptedTransport([TypeError("bug in the transport")] * 3)
+        agent = RemoteAgent("http://example", transport=transport)
+        with pytest.raises(TypeError):
+            agent.propose_predicates(self.make_ctx(), k=3)
+        assert len(transport.conversations) == 1
+
     def test_multiple_fenced_blocks_rejected(self):
         reply = fenced('{"predicates": []}') + fenced('{"predicates": []}')
         transport = ScriptedTransport([reply] * 3)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -21,7 +22,7 @@ from rulesmith import (
     stratified_split,
 )
 from rulesmith.cli import main
-from _helpers import build_planted_corpus, contains, make_rule
+from _helpers import build_planted_corpus, contains, make_rule, run_python
 
 LABELS = ["refund", "shipping"]
 
@@ -131,6 +132,46 @@ def test_no_rulesmith_module_catches_every_exception():
     assert not offenders, f"bare or catch-all except clauses: {offenders}"
 
 
+def test_importing_the_cli_loads_nothing_beyond_the_standard_library():
+    """Every stage runs in a fresh interpreter and pays for what this loads.
+
+    Modules loaded before the import (interpreter start-up and site hooks)
+    are not counted.
+    """
+    added = run_python(
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import rulesmith.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - bare)))\n"
+    ).split()
+    assert "rulesmith.cli" in added
+    foreign = [
+        name for name in added
+        if name.split(".")[0] not in sys.stdlib_module_names | {"rulesmith"}
+    ]
+    assert not foreign, f"import rulesmith.cli loads third-party modules: {foreign}"
+
+
+def test_mock_and_stub_stages_never_import_requests(workspace):
+    tmp, train, val, tax = workspace
+    stages = [
+        ["rephrase", "--train", train, "--labels", tax, "--agent", "mock",
+         "--out", tmp / "v.jsonl"],
+        ["induce", "--train", train, "--val", tmp / "v.jsonl", "--labels", tax,
+         "--agent", "mock", "--iterations", "10", "--seed", "7", "--out", tmp / "r.json"],
+        ["predict", "--val", val, "--labels", tax, "--rules", tmp / "r.json",
+         "--predictor", "stub:0.7", "--seed", "7", "--out", tmp / "p.jsonl"],
+    ]
+    out = run_python(
+        "import json, sys\n"
+        "from rulesmith.cli import main\n"
+        "status = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps({'status': status, 'requests': 'requests' in sys.modules}))\n",
+        json.dumps([[str(a) for a in stage] for stage in stages]),
+    )
+    assert json.loads(out.splitlines()[-1]) == {"status": [0, 0, 0], "requests": False}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -144,6 +185,10 @@ def test_no_rulesmith_module_catches_every_exception():
         ["filter", "--min-reward", "5"],
         ["eval", "--labels", "BROKEN"],
         ["report", "--report", "BROKEN"],
+        ["rephrase", "--agent", "moc"],
+        ["induce", "--agent", "foo"],
+        ["predict", "--predictor", "stub"],
+        ["predict", "--predictor", "foo"],
     ],
 )
 def test_malformed_values_are_structured_errors(workspace, capsys, argv):
@@ -169,6 +214,8 @@ def test_malformed_values_are_structured_errors(workspace, capsys, argv):
     assert "Traceback" not in err
     error = json.loads(err.strip().splitlines()[-1])
     assert set(error) == {"error", "message"}
+    if "--out" in required:
+        assert not required[required.index("--out") + 1].exists()
 
 
 def _predictions_for(val, edit):
