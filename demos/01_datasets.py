@@ -70,8 +70,6 @@ for side, part in (("train", split.train), ("validation", split.validation)):
     print(f"  {side}: {by_label}")
 
 # Rephrased validation: the mock agent echoes, a remote agent would reword.
-rephrased, skipped = generate_validation(
-    split.train, MockAgent(split.train, seed=0), per_sample=2
-)
-print(f"rephrased validation: {len(rephrased)} copies, {skipped} skipped")
+rephrased = generate_validation(split.train, MockAgent(split.train, seed=0), per_sample=2)
+print(f"rephrased validation: {len(rephrased)} copies")
 print(f"  first copy id: {rephrased[0].id} (derived from its source id)")

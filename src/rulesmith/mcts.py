@@ -30,7 +30,6 @@ from typing import IO
 
 from .agents import Agent, AgentContext, RewardEstimate
 from .dataset import DatasetSplit, Task
-from .errors import AgentError
 from .predicate import MAX_RULE_PREDICATES, Predicate, Rule, RuleSource, SampleIndex
 
 logger = logging.getLogger(__name__)
@@ -82,7 +81,6 @@ class SearchResult:
     evaluations: int
     # Distinct predicate sets the agent scored; the rest were transpositions.
     agent_evaluations: int
-    error: str | None = None
 
 
 def uct_score(child: SearchNode, parent_visits: int, c: float) -> float:
@@ -128,8 +126,9 @@ def run_search(
 ) -> SearchResult:
     """Search for rules predicting ``label``; deterministic with a mock agent.
 
-    Aborts on agent failure, returning whatever was harvested so far with
-    the error recorded on the result.
+    An agent failure (``AgentError``, raised once the agent has spent its
+    own retry budget) propagates to the caller, and the search's partial
+    harvest is discarded with it.
     """
 
     exemplars = tuple(
@@ -150,15 +149,13 @@ def run_search(
     evaluations = 0
     iterations = 0
     best_reward = 0.0
-    error: str | None = None
     trace: IO[str] | None = None
     if trace_path is not None:
         trace = Path(trace_path).open("w", encoding="utf-8")
 
     def make_context(state: frozenset[Predicate]) -> AgentContext:
-        # No siblings: a node is fetched before it has children or untried
-        # actions. So the context depends on the state alone, which makes
-        # the transposition table exact.
+        # The context depends on the state alone, which makes the
+        # transposition table exact.
         return AgentContext(
             task=task,
             label=label,
@@ -173,27 +170,21 @@ def run_search(
                 break
             iterations += 1
 
-            # Selection: walk down fully expanded, non-terminal nodes.
+            # Selection: walk down fully expanded nodes. The root is not
+            # exhausted, and a node that is not exhausted but has nothing
+            # untried has a child that is not exhausted, so the walk ends at
+            # a node that can be expanded.
             node = root
-            while (
-                node.fetched
-                and not node.untried
-                and len(node.state) < cfg.max_predicates
-                and any(not ch.exhausted for ch in node.children.values())
-            ):
+            while node.fetched and not node.untried:
                 node = _select_child(node, cfg.exploration)
 
             # Expansion: fetch candidate actions once per node, lazily.
             if not node.fetched:
                 actions = proposed.get(node.state)
                 if actions is None:
-                    try:
-                        proposals = agent.propose_predicates(
-                            make_context(node.state), cfg.proposals_per_expansion
-                        )
-                    except AgentError as exc:
-                        error = str(exc)
-                        break
+                    proposals = agent.propose_predicates(
+                        make_context(node.state), cfg.proposals_per_expansion
+                    )
                     # Drop predicates already in the state, and repeats.
                     actions = list(dict.fromkeys(p for p in proposals if p not in node.state))
                     proposed[node.state] = actions
@@ -203,14 +194,7 @@ def run_search(
                     # Dead end: nothing to grow here, ever.
                     node.exhausted = True
                     _refresh_exhaustion(node.parent, cfg.max_predicates)
-                    if node is root:
-                        break
                     continue
-
-            if not node.untried:
-                # All of this node's children were exhausted this iteration.
-                _refresh_exhaustion(node, cfg.max_predicates)
-                continue
 
             action = node.untried.pop(0)
             child = SearchNode(state=node.state | {action}, parent=node)
@@ -228,11 +212,7 @@ def run_search(
             )
             estimate = scored.get(child.state)
             if estimate is None:
-                try:
-                    estimate = agent.evaluate_rule(make_context(child.state), rule)
-                except AgentError as exc:
-                    error = str(exc)
-                    break
+                estimate = agent.evaluate_rule(make_context(child.state), rule)
                 scored[child.state] = estimate
             child.evaluation = estimate
             evaluations += 1
@@ -285,14 +265,13 @@ def run_search(
 
     logger.info(
         "search %s/%s finished: %d iterations, %d rules from %d agent evaluations, "
-        "best reward %.3f%s",
+        "best reward %.3f",
         task.value,
         label,
         iterations,
         len(harvested),
         len(scored),
         best_reward,
-        f" (aborted: {error})" if error else "",
     )
     return SearchResult(
         rules=harvested,
@@ -300,5 +279,4 @@ def run_search(
         iterations=iterations,
         evaluations=evaluations,
         agent_evaluations=len(scored),
-        error=error,
     )

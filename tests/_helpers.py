@@ -253,7 +253,14 @@ def brute_force_remove_dominated(rules) -> list:
 
 
 def check_search_tree(root, max_predicates: int = 5) -> int:
-    """Assert per-node visit accounting and the depth bound; return node count."""
+    """Assert per-node visit accounting, the depth bound and the exhaustion
+    flags; return node count.
+
+    A node is exhausted exactly when it sits at the predicate cap, or when
+    it has fetched its proposals, tried them all and every child is
+    exhausted. Selection relies on this: a node that is not exhausted and
+    has nothing untried has a child that is not exhausted either.
+    """
 
     assert root.state == frozenset()
     count = 0
@@ -262,6 +269,14 @@ def check_search_tree(root, max_predicates: int = 5) -> int:
         node = stack.pop()
         count += 1
         assert len(node.state) <= max_predicates, "node exceeds the predicate cap"
+        spent = (
+            node.fetched
+            and not node.untried
+            and all(ch.exhausted for ch in node.children.values())
+        )
+        assert node.exhausted == (len(node.state) >= max_predicates or spent), (
+            f"exhaustion flag wrong at depth {len(node.state)}: {node.exhausted}"
+        )
         child_visits = sum(ch.visits for ch in node.children.values())
         evaluated = 1 if node.evaluation is not None else 0
         assert node.visits == child_visits + evaluated, (

@@ -20,7 +20,7 @@ from rulesmith.agents import sample_tokens, tokenize
 from _helpers import contains, intent_sample, make_rule
 
 
-def make_context(corpus, label, current=(), siblings=()):
+def make_context(corpus, label, current=()):
     exemplars = tuple(s for s in corpus if s.gold_label == label)
     return AgentContext(
         task=Task.INTENT,
@@ -28,7 +28,6 @@ def make_context(corpus, label, current=(), siblings=()):
         exemplars=exemplars,
         validation=tuple(corpus),
         current=frozenset(current),
-        siblings=frozenset(siblings),
     )
 
 
@@ -84,15 +83,6 @@ class TestMockProposals:
             make_context(corpus, "L", current=everything), k=50
         )
         assert again == []
-
-    def test_siblings_are_deduplicated_too(self):
-        corpus = self.build_ratio_corpus()
-        agent = MockAgent(corpus, seed=1)
-        first = agent.propose_predicates(make_context(corpus, "L"), k=3)
-        rest = agent.propose_predicates(
-            make_context(corpus, "L", siblings=first), k=3
-        )
-        assert not set(first) & set(rest)
 
     def test_every_proposal_parses_under_the_grammar(self):
         corpus = self.build_ratio_corpus()

@@ -22,7 +22,13 @@ from rulesmith import (
     stratified_split,
 )
 from rulesmith.cli import main
-from _helpers import build_planted_corpus, contains, make_rule, run_python
+from _helpers import (
+    ScriptedHTTPServer,
+    build_planted_corpus,
+    contains,
+    make_rule,
+    run_python,
+)
 
 LABELS = ["refund", "shipping"]
 
@@ -216,6 +222,32 @@ def test_malformed_values_are_structured_errors(workspace, capsys, argv):
     assert set(error) == {"error", "message"}
     if "--out" in required:
         assert not required[required.index("--out") + 1].exists()
+
+
+@pytest.mark.parametrize("command", ["rephrase", "induce"])
+def test_agent_that_gives_up_ends_the_stage_with_no_output(
+    workspace, capsys, monkeypatch, command
+):
+    tmp, train, val, tax = workspace
+    for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.lower(), raising=False)
+    out = tmp / "out"
+    argv = {
+        "rephrase": ["rephrase", "--train", train, "--labels", tax],
+        "induce": ["induce", "--train", train, "--val", val, "--labels", tax],
+    }[command]
+    with ScriptedHTTPServer([(500, "internal error")] * 4) as server:
+        status = main([str(a) for a in argv + ["--agent", server.url, "--out", out]])
+    assert status == 1
+    # The first agent call spends its retry budget and ends the stage.
+    assert len(server.requests) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = json.loads(err.strip().splitlines()[-1])
+    assert last["error"] == "AgentUnavailableError"
+    assert "transport failure" in last["message"]
+    assert not out.exists()
 
 
 def _predictions_for(val, edit):

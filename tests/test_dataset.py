@@ -167,8 +167,7 @@ class BuggyRephraser:
 class TestGenerateValidation:
     def test_echo_rephraser_copies_everything_but_ids(self):
         train = [intent_sample("s1", "refund", "退货", ocr_text="ocr")]
-        generated, skipped = generate_validation(train, EchoRephraser(), per_sample=1)
-        assert skipped == 0
+        generated = generate_validation(train, EchoRephraser(), per_sample=1)
         [copy] = generated
         assert copy.id == "s1::r0"
         assert copy.turns == train[0].turns
@@ -181,8 +180,7 @@ class TestGenerateValidation:
             intent_sample(f"s{i}", label, "text here")
             for i, label in enumerate(["refund", "refund", "shipping"])
         ]
-        generated, skipped = generate_validation(train, EchoRephraser(), per_sample=2)
-        assert skipped == 0
+        generated = generate_validation(train, EchoRephraser(), per_sample=2)
         assert len(generated) == 6
         by_source = {}
         for copy in generated:
@@ -194,15 +192,15 @@ class TestGenerateValidation:
             assert all(c.gold_label == sample.gold_label for c in copies)
             assert all(c.task is sample.task for c in copies)
 
-    def test_total_failure_yields_empty_list_and_full_tally(self):
+    def test_agent_failure_propagates_on_the_first_call(self):
         train = [intent_sample(f"s{i}", "refund", "x") for i in range(4)]
         rephraser = FailingRephraser()
-        generated, skipped = generate_validation(train, rephraser, per_sample=1)
-        assert generated == []
-        assert skipped == 4
-        # One call per copy: retrying is the rephraser's job, and the copy
-        # is given up on its first failing turn.
-        assert rephraser.calls == 4
+        with pytest.raises(AgentUnavailableError, match="endpoint down"):
+            generate_validation(train, rephraser, per_sample=1)
+        # Retrying is the rephraser's job: its first failure ends the run.
+        assert rephraser.calls == 1
+        with pytest.raises(AgentUnavailableError, match="endpoint down"):
+            generate_validation(train, FailingRephraser(), per_sample=1, max_workers=4)
 
     def test_programming_errors_propagate_instead_of_skipping(self):
         train = [intent_sample("s0", "refund", "x")]
@@ -211,8 +209,8 @@ class TestGenerateValidation:
 
     def test_output_sorted_by_derived_id_even_with_workers(self):
         train = [intent_sample(f"s{i}", "refund", "x") for i in range(6)]
-        sequential, _ = generate_validation(train, EchoRephraser(), per_sample=2)
-        threaded, _ = generate_validation(
+        sequential = generate_validation(train, EchoRephraser(), per_sample=2)
+        threaded = generate_validation(
             train, EchoRephraser(), per_sample=2, max_workers=4
         )
         assert [s.id for s in sequential] == sorted(s.id for s in sequential)

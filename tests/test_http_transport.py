@@ -7,6 +7,7 @@ import requests
 
 from rulesmith import (
     AgentContext,
+    AgentProtocolError,
     AgentUnavailableError,
     PredictorError,
     RemoteAgent,
@@ -88,6 +89,19 @@ def test_bad_response_is_a_transport_failure_retried_to_the_budget(
         with pytest.raises(error, match="transport failure"):
             call(server.url, session, retries=2)
     assert len(server.requests) == 2
+
+
+@pytest.mark.parametrize("caller", CALLERS)
+def test_reply_without_choices_is_retried_as_is_to_the_budget(session, caller):
+    call = CALLERS[caller][0]
+    error = {"agent": AgentProtocolError, "predictor": PredictorError}[caller]
+    with ScriptedHTTPServer([(200, '{"id": "x"}')] * 4) as server:
+        with pytest.raises(error, match=r"choices\[0\]\.message\.content"):
+            call(server.url, session, retries=3)
+    assert len(server.requests) == 3
+    # A malformed envelope carries no reply to echo back: every attempt
+    # resends the first conversation unchanged.
+    assert all(sent == server.requests[0] for sent in server.requests)
 
 
 def test_requests_is_imported_only_when_a_transport_is_built():

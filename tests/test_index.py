@@ -148,7 +148,7 @@ def rescanned_ranking(corpus, task: Task, label: str) -> list[str]:
 
 
 def rescanned_proposals(corpus, ctx: AgentContext, k: int) -> list[Predicate]:
-    taken = set(ctx.current) | set(ctx.siblings)
+    taken = set(ctx.current)
     proposals = []
     for token in rescanned_ranking(corpus, ctx.task, ctx.label):
         candidate = Predicate(PredicateField.ANY_TEXT, PredicateOp.CONTAINS, token)
@@ -168,15 +168,13 @@ TARGETS = [(Task.INTENT, l) for l in INTENT_LABELS] + [(Task.IMAGE_SCENE, l) for
 @given(
     corpus=corpora(min_size=1),
     current=st.frozensets(predicates, max_size=3),
-    siblings=st.frozensets(predicates, max_size=3),
     k=st.integers(1, 12),
 )
-def test_mock_proposals_equal_a_per_token_rescan(corpus, current, siblings, k):
+def test_mock_proposals_equal_a_per_token_rescan(corpus, current, k):
     agent = MockAgent(corpus, seed=0)  # one agent serves every label, as in induce
     for task, label in TARGETS:
         ctx = AgentContext(
-            task=task, label=label, exemplars=(), validation=(), current=current,
-            siblings=siblings,
+            task=task, label=label, exemplars=(), validation=(), current=current
         )
         assert agent.propose_predicates(ctx, k) == rescanned_proposals(corpus, ctx, k)
 

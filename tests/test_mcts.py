@@ -78,7 +78,6 @@ class TestRunSearchWithMock:
         agent = MockAgent(split.train, seed=3, noise=0.0)
         cfg = SearchConfig(max_iterations=200)
         result = run_search("refund", Task.INTENT, split, agent, cfg)
-        assert result.error is None
 
         # Exhaustive oracle: the best single-token rule reachable from the
         # training vocabulary, measured by a literal loop over validation.
@@ -270,18 +269,15 @@ class TestSearchShapes:
             "refund", Task.INTENT, split, EmptyAgent(), SearchConfig(max_iterations=10)
         )
         assert result.rules == []
-        assert result.error is None
         assert result.evaluations == 0
 
-    def test_agent_failure_aborts_keeping_the_harvest(self):
+    def test_agent_failure_propagates_out_of_the_search(self):
         split = tiny_split()
-        result = run_search(
-            "refund", Task.INTENT, split, FlakyAgent(), SearchConfig(max_iterations=10)
-        )
-        assert result.error is not None
-        assert "endpoint gone" in result.error
-        assert len(result.rules) == 2
-        check_search_tree(result.root)
+        agent = FlakyAgent()
+        with pytest.raises(AgentUnavailableError, match="endpoint gone"):
+            run_search("refund", Task.INTENT, split, agent, SearchConfig(max_iterations=10))
+        # Two rules were scored; the third evaluation failed and ended the search.
+        assert agent.evaluations == 3
 
     def test_depth_never_exceeds_the_cap(self):
         split = make_split(["refund", "shipping"], per_label=15, seed=6)
