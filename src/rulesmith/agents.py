@@ -15,7 +15,6 @@ import logging
 import os
 import random
 import re
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence, TypeVar
@@ -41,8 +40,10 @@ logger = logging.getLogger(__name__)
 
 AGENT_KEY_ENV = "RULESMITH_AGENT_KEY"
 DEFAULT_TIMEOUT = 30.0
-DEFAULT_MAX_IN_FLIGHT = 4
-DEFAULT_RETRIES = 3
+# Attempts per structured call, for the agent and the classifier alike.
+RETRIES = 3
+# Samples listed per prompt section, of exemplars and of validation.
+PROMPT_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -241,8 +242,9 @@ def extract_fenced_json(content: str) -> dict:
         )
     try:
         payload = json.loads(blocks[0])
-    except json.JSONDecodeError as exc:
-        raise AgentProtocolError(f"fenced block is not valid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # also an integer past the digit limit, or too deep
+        detail = getattr(exc, "msg", exc)  # JSONDecodeError's message without its position
+        raise AgentProtocolError(f"fenced block is not valid JSON: {detail}") from None
     if not isinstance(payload, dict):
         raise AgentProtocolError("fenced block must contain a JSON object")
     return payload
@@ -287,7 +289,12 @@ def http_chat_transport(
             timeout=timeout,
         )
         response.raise_for_status()
-        body = response.json()
+        try:
+            body = response.json()
+        except (ValueError, RecursionError) as exc:  # also too deep, or an over-long integer
+            raise requests.exceptions.InvalidJSONError(
+                f"reply body is not valid JSON: {exc}"
+            ) from None
         try:
             content = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):
@@ -303,9 +310,8 @@ def structured_call(
     send: Transport,
     messages: list[dict[str, str]],
     parse: Callable[[str], T],
-    retries: int,
 ) -> T:
-    """Send a conversation until ``parse`` accepts the reply, at most ``retries`` times.
+    """Send a conversation until ``parse`` accepts the reply, at most ``RETRIES`` times.
 
     A reply that ``parse`` rejects with ``AgentProtocolError`` is retried
     with the parse error echoed back to the model; a transport failure is
@@ -316,9 +322,9 @@ def structured_call(
     ``AgentUnavailableError`` for a transport failure.
     """
 
-    last_error: AgentError = AgentUnavailableError("retry budget is zero")
+    last_error: AgentError  # RETRIES >= 1, so the loop always sets it
     conversation = list(messages)
-    for attempt in range(1, retries + 1):
+    for attempt in range(1, RETRIES + 1):
         try:
             content = send(conversation)
         except OSError as exc:  # requests.RequestException is an OSError
@@ -347,9 +353,9 @@ def structured_call(
     raise last_error
 
 
-def _format_samples(samples: Sequence[DialogueSample], limit: int) -> str:
+def _format_samples(samples: Sequence[DialogueSample]) -> str:
     lines = []
-    for sample in samples[:limit]:
+    for sample in samples[:PROMPT_SAMPLES]:
         dialogue = " / ".join(f"{t.speaker.value}: {t.text}" for t in sample.turns)
         lines.append(f"- [{sample.gold_label}] {dialogue} | ocr: {sample.ocr_text}")
     return "\n".join(lines)
@@ -364,30 +370,9 @@ class RemoteAgent:
     call fails loudly rather than degrading silently.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        *,
-        model: str = "default",
-        timeout: float = DEFAULT_TIMEOUT,
-        retries: int = DEFAULT_RETRIES,
-        max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-        context_exemplars: int = 8,
-        context_validation: int = 8,
-        transport: Transport | None = None,
-    ) -> None:
-        self.retries = retries
-        self.context_exemplars = context_exemplars
-        self.context_validation = context_validation
+    def __init__(self, endpoint: str, *, transport: Transport | None = None) -> None:
         self.dropped_proposals = 0
-        self._transport = transport or http_chat_transport(
-            endpoint, model=model, timeout=timeout
-        )
-        self._gate = threading.Semaphore(max_in_flight)
-
-    def _send(self, messages: list[dict[str, str]]) -> str:
-        with self._gate:
-            return self._transport(messages)
+        self._transport = transport or http_chat_transport(endpoint)
 
     def propose_predicates(self, ctx: AgentContext, k: int) -> list[Predicate]:
         if k < 1:
@@ -409,8 +394,8 @@ class RemoteAgent:
                 "content": (
                     f"Target label: {ctx.label} (task: {ctx.task.value})\n"
                     f"Current rule predicates: {current}\n"
-                    f"Labeled examples:\n{_format_samples(ctx.exemplars, self.context_exemplars)}\n"
-                    f"Validation examples:\n{_format_samples(ctx.validation, self.context_validation)}\n"
+                    f"Labeled examples:\n{_format_samples(ctx.exemplars)}\n"
+                    f"Validation examples:\n{_format_samples(ctx.validation)}\n"
                     f"Propose up to {k} new predicates that separate this label."
                 ),
             },
@@ -423,7 +408,7 @@ class RemoteAgent:
                 raise AgentProtocolError('field "predicates" must be an array of strings')
             return raw
 
-        raw_predicates = structured_call(self._send, messages, parse, self.retries)
+        raw_predicates = structured_call(self._transport, messages, parse)
         taken = set(ctx.current)
         proposals: list[Predicate] = []
         for text in raw_predicates:
@@ -459,7 +444,7 @@ class RemoteAgent:
                 "content": (
                     f"Rule: IF {predicates} THEN label = {rule.label} "
                     f"(task: {rule.task.value})\n"
-                    f"Validation examples:\n{_format_samples(ctx.validation, self.context_validation)}"
+                    f"Validation examples:\n{_format_samples(ctx.validation)}"
                 ),
             },
         ]
@@ -473,7 +458,7 @@ class RemoteAgent:
                 raise AgentProtocolError('field "rationale" must be a string')
             return RewardEstimate(reward=reward, confidence=confidence, rationale=rationale)
 
-        return structured_call(self._send, messages, parse, self.retries)
+        return structured_call(self._transport, messages, parse)
 
     def rephrase(self, text: str) -> str:
         messages = [
@@ -493,4 +478,4 @@ class RemoteAgent:
                 raise AgentProtocolError("rephrase reply is empty")
             return reply
 
-        return structured_call(self._send, messages, parse, self.retries)
+        return structured_call(self._transport, messages, parse)

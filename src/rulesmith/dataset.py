@@ -116,7 +116,7 @@ def read_json(path: str | Path, error: type[RulesmithError]) -> object:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc.reason}") from None
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # also an integer past the digit limit, or too deep
         raise error(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -140,7 +140,7 @@ def read_jsonl(
                 yield line_no, record
         except UnicodeDecodeError as exc:
             raise error(f"{path} is not UTF-8 text: {exc.reason}") from None
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             detail = getattr(exc, "msg", exc)  # JSONDecodeError's message without its position
             raise error(f"{where}line {line_no}: invalid JSON ({detail})") from None
 

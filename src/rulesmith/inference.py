@@ -24,7 +24,8 @@ from .rulebase import RuleBase
 
 PREDICTOR_KEY_ENV = "RULESMITH_PREDICTOR_KEY"
 DEFAULT_OVERRIDE_THRESHOLD = 0.8
-DEFAULT_FAILURE_BUDGET = 3
+# Classifier failures a batch absorbs; one more aborts it.
+FAILURE_BUDGET = 3
 
 # Emitted when the classifier failed and no rule fired; deliberately not a
 # taxonomy label so downstream scoring treats it as a miss.
@@ -45,8 +46,11 @@ class Prediction:
     predictor_label: str
 
     def __post_init__(self) -> None:
-        if self.source is PredictionSource.RULE and not self.fired_rule_id:
-            raise ValueError("rule-sourced prediction must carry fired_rule_id")
+        if self.source is PredictionSource.RULE:
+            if not isinstance(self.fired_rule_id, str) or not self.fired_rule_id:
+                raise ValueError("rule-sourced prediction must carry a fired_rule_id string")
+        elif self.fired_rule_id is not None:
+            raise ValueError("predictor-sourced prediction must carry fired_rule_id null")
 
 
 class Predictor(Protocol):
@@ -85,20 +89,10 @@ class RemotePredictor:
     """Classifier behind a chat-completions endpoint; replies {"label": ...}."""
 
     def __init__(
-        self,
-        endpoint: str,
-        taxonomy: LabelTaxonomy,
-        *,
-        model: str = "default",
-        timeout: float = 30.0,
-        retries: int = 3,
-        transport: Transport | None = None,
+        self, endpoint: str, taxonomy: LabelTaxonomy, *, transport: Transport | None = None
     ) -> None:
         self.taxonomy = taxonomy
-        self.retries = retries
-        self._transport = transport or http_chat_transport(
-            endpoint, model=model, timeout=timeout, api_key_env=PREDICTOR_KEY_ENV
-        )
+        self._transport = transport or http_chat_transport(endpoint, api_key_env=PREDICTOR_KEY_ENV)
 
     def predict(self, sample: DialogueSample) -> str:
         labels = self.taxonomy.labels_for(sample.task)
@@ -132,7 +126,7 @@ class RemotePredictor:
             return label
 
         try:
-            return structured_call(self._transport, messages, parse, self.retries)
+            return structured_call(self._transport, messages, parse)
         except AgentError as exc:
             raise PredictorError(
                 f"predictor failed for sample {sample.id!r}: {exc}"
@@ -220,12 +214,11 @@ def predict_batch(
     samples: Sequence[DialogueSample],
     *,
     override_threshold: float = DEFAULT_OVERRIDE_THRESHOLD,
-    failure_budget: int = DEFAULT_FAILURE_BUDGET,
 ) -> BatchResult:
     """Predict every sample in input order.
 
     A classifier error on a sample reaches ``arbitrate`` as a missing
-    label. More than ``failure_budget`` classifier failures abort the batch.
+    label. More than ``FAILURE_BUDGET`` classifier failures abort the batch.
     """
 
     if not 0.0 <= override_threshold <= 1.0:
@@ -238,9 +231,9 @@ def predict_batch(
             predictor_label = predictor.predict(sample)
         except PredictorError as exc:
             report.predictor_failures += 1
-            if report.predictor_failures > failure_budget:
+            if report.predictor_failures > FAILURE_BUDGET:
                 raise PredictorError(
-                    f"predictor exceeded the failure budget of {failure_budget}: {exc}"
+                    f"predictor exceeded the failure budget of {FAILURE_BUDGET}: {exc}"
                 ) from exc
             predictor_label = None
         prediction = arbitrate(

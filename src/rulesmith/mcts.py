@@ -34,6 +34,9 @@ from .predicate import MAX_RULE_PREDICATES, Predicate, Rule, RuleSource, SampleI
 
 logger = logging.getLogger(__name__)
 
+# The UCT exploration constant c.
+EXPLORATION = math.sqrt(2)
+
 
 @dataclass
 class SearchNode:
@@ -55,21 +58,13 @@ class SearchNode:
 @dataclass(frozen=True)
 class SearchConfig:
     max_iterations: int = 200
-    exploration: float = math.sqrt(2)
     proposals_per_expansion: int = 5
-    max_predicates: int = MAX_RULE_PREDICATES
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.exploration <= 0:
-            raise ValueError("exploration constant must be > 0")
         if self.proposals_per_expansion < 1:
             raise ValueError("proposals_per_expansion must be >= 1")
-        if not 1 <= self.max_predicates <= MAX_RULE_PREDICATES:
-            raise ValueError(
-                f"max_predicates must be in 1..{MAX_RULE_PREDICATES}"
-            )
 
 
 @dataclass
@@ -105,9 +100,9 @@ def _select_child(node: SearchNode, c: float) -> SearchNode:
     return max(candidates, key=lambda ch: uct_score(ch, node.visits, c))
 
 
-def _refresh_exhaustion(node: SearchNode | None, max_predicates: int) -> None:
+def _refresh_exhaustion(node: SearchNode | None) -> None:
     while node is not None:
-        if len(node.state) >= max_predicates:
+        if len(node.state) >= MAX_RULE_PREDICATES:
             node.exhausted = True
         elif node.fetched and not node.untried:
             # all() over no children means a dead end: nothing was proposable.
@@ -176,7 +171,7 @@ def run_search(
             # a node that can be expanded.
             node = root
             while node.fetched and not node.untried:
-                node = _select_child(node, cfg.exploration)
+                node = _select_child(node, EXPLORATION)
 
             # Expansion: fetch candidate actions once per node, lazily.
             if not node.fetched:
@@ -193,7 +188,7 @@ def run_search(
                 if not node.untried:
                     # Dead end: nothing to grow here, ever.
                     node.exhausted = True
-                    _refresh_exhaustion(node.parent, cfg.max_predicates)
+                    _refresh_exhaustion(node.parent)
                     continue
 
             action = node.untried.pop(0)
@@ -232,7 +227,7 @@ def run_search(
                 walker.total_value += value
                 walker = walker.parent
 
-            _refresh_exhaustion(child, cfg.max_predicates)
+            _refresh_exhaustion(child)
 
             logger.debug(
                 "search %s/%s iter=%d eval=%d reward=%.3f best=%.3f",

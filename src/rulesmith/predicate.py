@@ -103,10 +103,6 @@ class RuleQuality:
         if self.correct > self.coverage:
             raise ValueError("correct count cannot exceed coverage")
 
-    @property
-    def defined(self) -> bool:
-        return self.precision is not None
-
     @classmethod
     def from_counts(cls, coverage: int, correct: int) -> "RuleQuality":
         precision = correct / coverage if coverage > 0 else None

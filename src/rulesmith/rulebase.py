@@ -127,13 +127,12 @@ def remove_dominated(rules: Sequence[Rule]) -> list[Rule]:
 class OnlineValidation:
     """Outcome of re-measuring rules on held-out data.
 
-    ``measured`` maps each input rule id to its quality, keeping the
-    provenance of every kept rule's replaced reward.
+    Kept rules carry their measured precision as reward; dropped rules
+    carry their quality alongside.
     """
 
     kept: tuple[Rule, ...]
     dropped: tuple[tuple[Rule, RuleQuality], ...]
-    measured: dict[str, RuleQuality]
 
 
 def online_validate(
@@ -153,18 +152,16 @@ def online_validate(
         raise RuleBaseError("cannot validate rules against an empty validation set")
     kept: list[Rule] = []
     dropped: list[tuple[Rule, RuleQuality]] = []
-    measured: dict[str, RuleQuality] = {}
     index = SampleIndex(validation)
     for rule in rules:
         quality = measure_rule(rule, index)
-        measured[rule.id] = quality
         if quality.coverage < min_support or quality.precision is None:
             dropped.append((rule, quality))
         elif quality.precision < min_precision:
             dropped.append((rule, quality))
         else:
             kept.append(replace(rule, reward=quality.precision))
-    return OnlineValidation(kept=tuple(kept), dropped=tuple(dropped), measured=measured)
+    return OnlineValidation(kept=tuple(kept), dropped=tuple(dropped))
 
 
 # --- persistence --------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from rulesmith import (
@@ -206,6 +208,23 @@ class TestRemoteAgent:
         assert follow_up[-1]["role"] == "user"
         assert "invalid" in follow_up[-1]["content"]
 
+    @pytest.mark.parametrize(
+        "payload", ["[" * 100_000 + "]" * 100_000, "1" * 5001],
+        ids=["too-deep", "over-long-integer"],
+    )
+    def test_undecodable_fenced_json_is_retried_with_the_error_echoed_back(self, payload):
+        transport = ScriptedTransport(
+            [fenced(payload), fenced('{"reward": 0.9, "confidence": 0.8, "rationale": "ok"}')]
+        )
+        agent = RemoteAgent("http://example", transport=transport)
+        rule = make_rule("r", "L", [contains("退货")], 0.0, confidence=0.0)
+        estimate = agent.evaluate_rule(self.make_ctx(), rule)
+        assert estimate == RewardEstimate(reward=0.9, confidence=0.8, rationale="ok")
+        assert len(transport.conversations) == 2
+        follow_up = transport.conversations[1]
+        assert follow_up[-2] == {"role": "assistant", "content": fenced(payload)}
+        assert "fenced block is not valid JSON" in follow_up[-1]["content"]
+
     def test_transport_failure_exhausts_into_unavailable(self):
         import requests
 
@@ -255,3 +274,23 @@ class TestRemoteAgent:
         transport = ScriptedTransport([fenced('{"predicates": ["junk"]}')])
         agent = RemoteAgent("http://example", transport=transport)
         assert agent.propose_predicates(self.make_ctx(), k=3) == []
+
+    def test_prompts_list_eight_samples_per_section(self):
+        corpus = [intent_sample(f"s{i}", "L", f"退货 {i}") for i in range(20)]
+        ctx = make_context(corpus, "L")
+        assert len(ctx.exemplars) == len(ctx.validation) == 20
+        transport = ScriptedTransport(
+            [fenced('{"predicates": []}'), fenced('{"reward": 0.5, "confidence": 0.5}')]
+        )
+        agent = RemoteAgent("http://example", transport=transport)
+        agent.propose_predicates(ctx, k=3)
+        agent.evaluate_rule(ctx, make_rule("r", "L", [contains("退货")], 0.0, confidence=0.0))
+        propose, evaluate = (messages[-1]["content"] for messages in transport.conversations)
+
+        def listed(prompt: str, heading: str) -> int:
+            lines = prompt.split(f"{heading}:\n", 1)[1].splitlines()
+            return len(list(itertools.takewhile(lambda line: line.startswith("- [L]"), lines)))
+
+        assert listed(propose, "Labeled examples") == 8
+        assert listed(propose, "Validation examples") == 8
+        assert listed(evaluate, "Validation examples") == 8

@@ -292,6 +292,34 @@ def test_malformed_input_files_are_structured_errors(workspace, capsys, command,
     assert last["error"] == error
 
 
+@pytest.mark.parametrize(
+    "content", ["[" * 100_000 + "]" * 100_000, "1" * 5001], ids=["too-deep", "over-long-integer"]
+)
+@pytest.mark.parametrize(
+    "option", ["rephrase --train", "rephrase --labels", "filter --rules", "eval --pred",
+               "report --report"],
+)
+def test_undecodable_json_files_are_structured_errors(workspace, capsys, option, content):
+    tmp, train, val, tax = workspace
+    hostile = tmp / "hostile.json"
+    hostile.write_text(content, encoding="utf-8")
+    command, flag = option.split()
+    args = {
+        "rephrase": {"--train": train, "--labels": tax, "--out": tmp / "v.jsonl"},
+        "filter": {"--rules": None, "--out": tmp / "f.json"},
+        "eval": {"--pred": None, "--val": val, "--labels": tax},
+        "report": {"--report": None},
+    }[command]
+    args[flag] = hostile
+    assert main([command] + [str(a) for pair in args.items() for a in pair]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = json.loads(err.strip().splitlines()[-1])
+    assert last["error"] in {"DatasetError", "RuleBaseError", "RulesmithError", "EvaluationError"}
+    assert "JSON" in last["message"]
+    assert not (tmp / "v.jsonl").exists() and not (tmp / "f.json").exists()
+
+
 def test_filter_keeps_the_boundary_reward(tmp_path, capsys):
     rules = [
         make_rule("below", "refund", [contains("alpha")], 0.79),

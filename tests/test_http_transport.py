@@ -37,10 +37,8 @@ def session():
     http.close()
 
 
-def judge_rule(url: str, session: requests.Session, retries: int) -> RewardEstimate:
-    agent = RemoteAgent(
-        url, retries=retries, transport=http_chat_transport(url, session=session)
-    )
+def judge_rule(url: str, session: requests.Session) -> RewardEstimate:
+    agent = RemoteAgent(url, transport=http_chat_transport(url, session=session))
     sample = intent_sample("s", "refund", "我要退货")
     ctx = AgentContext(
         task=Task.INTENT, label="refund", exemplars=(sample,), validation=(sample,)
@@ -49,10 +47,8 @@ def judge_rule(url: str, session: requests.Session, retries: int) -> RewardEstim
     return agent.evaluate_rule(ctx, rule)
 
 
-def classify(url: str, session: requests.Session, retries: int) -> str:
-    predictor = RemotePredictor(
-        url, TAX, retries=retries, transport=http_chat_transport(url, session=session)
-    )
+def classify(url: str, session: requests.Session) -> str:
+    predictor = RemotePredictor(url, TAX, transport=http_chat_transport(url, session=session))
     return predictor.predict(intent_sample("s", None, "我要退货"))
 
 
@@ -71,24 +67,31 @@ CALLERS = {
 def test_fenced_reply_parses(session, caller):
     call, reply, expected, _ = CALLERS[caller]
     with ScriptedHTTPServer([(200, chat_body(f"Sure:\n{reply}\n"))]) as server:
-        assert call(server.url, session, retries=3) == expected
+        assert call(server.url, session) == expected
     [sent] = server.requests
     assert sent["model"] == "default"
     assert sent["messages"][0]["role"] == "system"
 
 
 @pytest.mark.parametrize(
-    "status, body", [(500, "internal error"), (200, "not json")], ids=["http-500", "non-json"]
+    "status, body",
+    [
+        (500, "internal error"),
+        (200, "not json"),
+        (200, "[" * 100_000 + "]" * 100_000),
+        (200, "1" * 5001),
+    ],
+    ids=["http-500", "non-json", "too-deep-json", "over-long-integer"],
 )
 @pytest.mark.parametrize("caller", CALLERS)
 def test_bad_response_is_a_transport_failure_retried_to_the_budget(
     session, caller, status, body
 ):
     call, _, _, error = CALLERS[caller]
-    with ScriptedHTTPServer([(status, body)] * 3) as server:
+    with ScriptedHTTPServer([(status, body)] * 4) as server:
         with pytest.raises(error, match="transport failure"):
-            call(server.url, session, retries=2)
-    assert len(server.requests) == 2
+            call(server.url, session)
+    assert len(server.requests) == 3
 
 
 @pytest.mark.parametrize("caller", CALLERS)
@@ -97,7 +100,7 @@ def test_reply_without_choices_is_retried_as_is_to_the_budget(session, caller):
     error = {"agent": AgentProtocolError, "predictor": PredictorError}[caller]
     with ScriptedHTTPServer([(200, '{"id": "x"}')] * 4) as server:
         with pytest.raises(error, match=r"choices\[0\]\.message\.content"):
-            call(server.url, session, retries=3)
+            call(server.url, session)
     assert len(server.requests) == 3
     # A malformed envelope carries no reply to echo back: every attempt
     # resends the first conversation unchanged.

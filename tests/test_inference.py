@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from rulesmith import (
@@ -13,6 +15,7 @@ from rulesmith import (
     RemotePredictor,
     RuleBase,
     RuleBaseMetadata,
+    RulesmithError,
     StubPredictor,
     Task,
     arbitrate,
@@ -204,9 +207,7 @@ class TestPredictBatch:
         weak_rule = make_rule(
             "weak", "refund", [contains(planted_token("refund"))], 0.5
         )
-        result = predict_batch(
-            base_of(weak_rule), FailingPredictor(), [sample], failure_budget=1
-        )
+        result = predict_batch(base_of(weak_rule), FailingPredictor(), [sample])
         [p] = result.predictions
         assert p.label == "refund"
         assert p.source is PredictionSource.RULE
@@ -215,15 +216,18 @@ class TestPredictBatch:
 
     def test_predictor_failure_without_rules_abstains(self):
         sample = intent_sample("s", "refund", "nothing fires")
-        result = predict_batch(EMPTY_BASE, FailingPredictor(), [sample], failure_budget=1)
+        result = predict_batch(EMPTY_BASE, FailingPredictor(), [sample])
         [p] = result.predictions
         assert p.label == ABSTAIN_LABEL
         assert result.report.abstained == 1
 
     def test_failures_beyond_the_budget_abort_the_batch(self):
         corpus = self.corpus()
-        with pytest.raises(PredictorError, match="failure budget"):
-            predict_batch(EMPTY_BASE, FailingPredictor(), corpus, failure_budget=3)
+        result = predict_batch(EMPTY_BASE, FailingPredictor(), corpus[:3])
+        assert result.report.predictor_failures == 3
+        assert result.report.abstained == 3
+        with pytest.raises(PredictorError, match="failure budget of 3"):
+            predict_batch(EMPTY_BASE, FailingPredictor(), corpus[:4])
 
     def test_input_order_is_preserved(self):
         corpus = self.corpus(seed=4)
@@ -316,6 +320,20 @@ class TestPredictionFiles:
         path = tmp_path / "preds.jsonl"
         save_predictions(predictions, path)
         assert load_predictions(path) == predictions
+
+    @pytest.mark.parametrize(
+        "source, fired_rule_id",
+        [("rule", 5), ("rule", ""), ("rule", None), ("predictor", "r9")],
+        ids=["rule-number", "rule-empty", "rule-null", "predictor-with-rule"],
+    )
+    def test_fired_rule_id_must_match_the_source(self, tmp_path, source, fired_rule_id):
+        path = tmp_path / "preds.jsonl"
+        path.write_text(json.dumps({
+            "id": "a", "label": "refund", "source": source,
+            "fired_rule_id": fired_rule_id, "predictor_label": "refund",
+        }) + "\n", encoding="utf-8")
+        with pytest.raises(RulesmithError, match="line 1: malformed record"):
+            load_predictions(path)
 
     def test_byte_identical_given_fixed_inputs(self, tmp_path):
         corpus = build_planted_corpus(["refund", "shipping"], per_label=10, seed=3)

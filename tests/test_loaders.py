@@ -120,6 +120,10 @@ documents = st.one_of(
 @example(content=json.dumps(
     {"version": 1, "metadata": METADATA, "rules": [{**RULE, "reward": 10**400}]}
 ).encode("utf-8"))
+@example(content=b"[" * 100_000 + b"]" * 100_000)
+@example(content=b"1" * 5001)
+@example(content=json.dumps({**PREDICTION, "fired_rule_id": 5}).encode("utf-8"))
+@example(content=json.dumps({**PREDICTION, "source": "predictor"}).encode("utf-8"))
 def test_loaders_return_or_raise_only_rulesmith_errors(tmp_path, content):
     path = tmp_path / "input"
     path.write_bytes(content)

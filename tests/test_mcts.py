@@ -323,10 +323,6 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(max_iterations=0)
         with pytest.raises(ValueError):
-            SearchConfig(exploration=0.0)
-        with pytest.raises(ValueError):
-            SearchConfig(max_predicates=6)
-        with pytest.raises(ValueError):
             SearchConfig(proposals_per_expansion=0)
 
 

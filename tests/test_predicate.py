@@ -221,7 +221,6 @@ class TestMeasureRule:
         assert quality.coverage == 0
         assert quality.correct == 0
         assert quality.precision is None
-        assert not quality.defined
 
     def test_three_of_four_matches_gives_point_75(self):
         rule = make_rule("r", "refund", [contains("hit")], 0.9)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -174,19 +175,17 @@ class TestOnlineValidate:
         validation = self.build_validation()
         rule = make_rule("good", "refund", [contains("good")], 0.62)
         outcome = online_validate([rule], validation, min_precision=0.8)
-        [kept] = outcome.kept
-        assert kept.reward == 1.0
-        assert outcome.measured["good"].coverage == 10
+        assert outcome.kept == (replace(rule, reward=1.0),)
+        assert outcome.dropped == ()
 
     def test_measured_precision_replaces_agent_reward(self):
         validation = self.build_validation()
-        # Covers "good" (10 refund) plus "bad" (2 refund + 2 shipping) via
-        # a disjunction-free union: use a looser predicate.
+        # "s" covers "good stuff" (10 refund), "bad sign" (2 refund + 2
+        # shipping), "rare case" (1 refund) and "ship it" (9 shipping).
         rule = make_rule("mid", "refund", [contains("s")], 0.99)
         outcome = online_validate([rule], validation, min_precision=0.5)
         [kept] = outcome.kept
-        quality = outcome.measured["mid"]
-        assert kept.reward == quality.precision
+        assert kept.reward == 13 / 24
 
     def test_empty_validation_set_is_an_error(self):
         rule = make_rule("r", "refund", [contains("x")], 0.9)
