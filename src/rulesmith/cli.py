@@ -36,6 +36,7 @@ from .inference import (
     save_predictions,
 )
 from .mcts import SearchConfig, run_search
+from .predicate import SampleIndex
 from .rulebase import (
     DEFAULT_MIN_PRECISION,
     DEFAULT_MIN_REWARD,
@@ -106,7 +107,8 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(args.labels)
     train = load_dataset(args.train, taxonomy)
     validation = load_dataset(args.val, taxonomy)
-    split = DatasetSplit(train=tuple(train), validation=tuple(validation))
+    # One index for the whole stage, so each task's searches share its bitsets.
+    split = DatasetSplit(train=tuple(train), validation=SampleIndex(validation))
     agent = _build_agent(args.agent, train, args.seed, noise=args.noise)
     cfg = SearchConfig(
         max_iterations=args.iterations,

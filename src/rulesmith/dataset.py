@@ -95,7 +95,8 @@ class LabelTaxonomy:
 @dataclass(frozen=True)
 class DatasetSplit:
     train: tuple[DialogueSample, ...]
-    validation: tuple[DialogueSample, ...]
+    # A tuple, or a ``SampleIndex`` that the searches over this split share.
+    validation: Sequence[DialogueSample]
 
     def __post_init__(self) -> None:
         shared = {s.id for s in self.train} & {s.id for s in self.validation}

@@ -121,6 +121,11 @@ def run_search(
 ) -> SearchResult:
     """Search for rules predicting ``label``; deterministic with a mock agent.
 
+    The search evaluates rules on the ``SampleIndex`` of the task's validation
+    samples. Make ``split.validation`` a ``SampleIndex`` to share that index,
+    and its bitsets, with every search over the same split; any other
+    sequence is indexed for this one search.
+
     An agent failure (``AgentError``, raised once the agent has spent its
     own retry budget) propagates to the caller, and the search's partial
     harvest is discarded with it.
@@ -131,8 +136,10 @@ def run_search(
     )
     if not exemplars:
         raise ValueError(f"no training sample carries label {label!r} for task {task.value}")
-    # One index per search: every evaluation reuses its predicate bitsets.
-    validation = SampleIndex(s for s in split.validation if s.task is task)
+    # One index per task per induce stage: every evaluation, in this search
+    # and in the task's other searches, reuses its predicate bitsets.
+    index = split.validation
+    validation = (index if isinstance(index, SampleIndex) else SampleIndex(index)).for_task(task)
     if not validation:
         raise ValueError(f"no validation samples for task {task.value}")
 

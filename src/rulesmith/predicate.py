@@ -276,7 +276,13 @@ class SampleIndex(Sequence[DialogueSample]):
     sample. Normalized field texts are computed once per field, and the
     bitsets of each predicate, task and label once per index, so a rule's
     match set is the AND of its predicates' bitsets (tidset intersection,
-    as in Eclat) and counting it is a popcount. Nothing outlives the index.
+    as in Eclat) and counting it is a popcount. ``for_task`` gives the index
+    of one task's samples, built once, so that every search of a task shares
+    its bitsets. Nothing outlives the index.
+
+    The memo dicts only ever store one value per key: a value depends on its
+    key and the samples alone. Threads may share an index, and a race between
+    them costs a repeated computation and nothing else.
 
     The index is itself the sequence of its samples, so it can stand
     wherever a ``Sequence[DialogueSample]`` is expected.
@@ -288,6 +294,7 @@ class SampleIndex(Sequence[DialogueSample]):
         self._predicate_masks: dict[Predicate, int] = {}
         self._task_masks = {task: _to_mask([s.task is task for s in self.samples]) for task in Task}
         self._label_masks: dict[str, int] = {}
+        self._task_indexes: dict[Task, SampleIndex] = {}
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -297,6 +304,15 @@ class SampleIndex(Sequence[DialogueSample]):
 
     def __iter__(self) -> Iterator[DialogueSample]:
         return iter(self.samples)
+
+    def for_task(self, task: Task) -> SampleIndex:
+        """The index of this index's ``task`` samples, in order."""
+        index = self._task_indexes.get(task)
+        if index is None:
+            index = self._task_indexes[task] = SampleIndex(
+                s for s in self.samples if s.task is task
+            )
+        return index
 
     def _field_texts(self, field: PredicateField) -> tuple[str, ...]:
         texts = self._texts.get(field)

@@ -97,6 +97,30 @@ def build_planted_corpus(
     return samples
 
 
+def build_two_task_corpus(
+    intent_labels: list[str],
+    scene_labels: list[str],
+    per_label: int,
+    seed: int,
+) -> list[DialogueSample]:
+    """Planted intent and image-scene samples, interleaved in a seeded order.
+
+    Each scene label's giveaway token sits in the OCR text of half of its
+    samples, amid shared background vocabulary.
+    """
+
+    rng = random.Random(seed)
+    samples = build_planted_corpus(intent_labels, per_label=per_label, seed=seed)
+    for label in scene_labels:
+        for i in range(per_label):
+            words = rng.sample(BACKGROUND_VOCAB, k=3)
+            if i % 2 == 0:
+                words.insert(rng.randrange(len(words) + 1), planted_token(label))
+            samples.append(scene_sample(f"{label}-{i:03d}", label, " ".join(words)))
+    rng.shuffle(samples)
+    return samples
+
+
 def taxonomy_for(labels: list[str], scene_labels: list[str] | None = None) -> LabelTaxonomy:
     return LabelTaxonomy(intent=tuple(labels), image_scene=tuple(scene_labels or ()))
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 
 import pytest
 
@@ -25,6 +26,7 @@ from rulesmith.cli import main
 from _helpers import (
     ScriptedHTTPServer,
     build_planted_corpus,
+    build_two_task_corpus,
     contains,
     make_rule,
     run_python,
@@ -99,6 +101,34 @@ def test_induce_with_fixed_seed_is_bit_reproducible(workspace):
     assert outs[0] == outs[1]
     base = load_rulebase(tmp / "rules0.json")
     assert base.rules  # the mock really found something
+
+
+def test_induce_extracts_each_validation_field_once(tmp_path, monkeypatch):
+    """Every search of a task shares one index, so no label's search
+    normalizes the task's validation texts again."""
+    import rulesmith.predicate as predicate
+
+    intent, scene = ["refund", "shipping", "invoice"], ["receipt", "tracking"]
+    split = stratified_split(build_two_task_corpus(intent, scene, per_label=12, seed=2), 0.4, seed=2)
+    save_dataset(split.train, tmp_path / "train.jsonl")
+    save_dataset(split.validation, tmp_path / "val.jsonl")
+    save_taxonomy(LabelTaxonomy(intent=tuple(intent), image_scene=tuple(scene)),
+                  tmp_path / "labels.json")
+    extracted = Counter()
+    original = predicate.extract_field_text
+
+    def counted(sample, field):
+        extracted[sample.id, field] += 1
+        return original(sample, field)
+
+    monkeypatch.setattr(predicate, "extract_field_text", counted)
+    assert main(
+        ["induce", "--train", str(tmp_path / "train.jsonl"), "--val", str(tmp_path / "val.jsonl"),
+         "--labels", str(tmp_path / "labels.json"), "--agent", "mock", "--iterations", "20",
+         "--seed", "2", "--out", str(tmp_path / "rules.json")]
+    ) == 0
+    assert {sample_id for sample_id, _ in extracted} == {s.id for s in split.validation}
+    assert max(extracted.values()) == 1
 
 
 def test_no_rulesmith_function_keeps_a_process_lifetime_cache():

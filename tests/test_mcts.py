@@ -9,8 +9,10 @@ import pytest
 from rulesmith import (
     AgentContext,
     AgentUnavailableError,
+    DatasetSplit,
     MockAgent,
     RewardEstimate,
+    SampleIndex,
     SearchConfig,
     SearchNode,
     Task,
@@ -20,8 +22,8 @@ from rulesmith import (
     stratified_split,
     uct_score,
 )
-from rulesmith.agents import sample_tokens
-from _helpers import build_planted_corpus, check_search_tree, contains
+from rulesmith.agents import PROMPT_SAMPLES, sample_tokens
+from _helpers import build_planted_corpus, build_two_task_corpus, check_search_tree, contains
 
 
 def node(visits=0, value=0.0):
@@ -414,3 +416,55 @@ class TestTranspositionTable:
                            len(agent.proposed_states) - before[1]))
         assert counts[0] == counts[1]
         assert counts[0][0] > 0
+
+
+class ContextRecordingAgent(CountingAgent):
+    """Passes every call on to ``inner`` and keeps each context it was given."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.contexts = []
+
+    def propose_predicates(self, ctx, k):
+        self.contexts.append(ctx)
+        return super().propose_predicates(ctx, k)
+
+    def evaluate_rule(self, ctx, rule):
+        self.contexts.append(ctx)
+        return super().evaluate_rule(ctx, rule)
+
+
+class TestSharedIndex:
+    INTENT = ["refund", "shipping", "invoice"]
+    SCENE = ["receipt", "tracking"]
+
+    def searches(self, split):
+        """Every label's search over ``split``, in induce's order, with one agent."""
+        agent = ContextRecordingAgent(MockAgent(split.train, seed=4, noise=0.05))
+        cfg = SearchConfig(max_iterations=40)
+        targets = [(Task.INTENT, l) for l in self.INTENT] + [
+            (Task.IMAGE_SCENE, l) for l in self.SCENE
+        ]
+        results = [run_search(label, task, split, agent, cfg) for task, label in targets]
+        return results, agent.contexts
+
+    def test_shared_index_gives_the_searches_of_fresh_indexes(self):
+        corpus = build_two_task_corpus(self.INTENT, self.SCENE, per_label=20, seed=4)
+        fresh = stratified_split(corpus, 0.4, seed=4)
+        shared = DatasetSplit(train=fresh.train, validation=SampleIndex(fresh.validation))
+
+        fresh_results, _ = self.searches(fresh)
+        shared_results, contexts = self.searches(shared)
+
+        def summary(result):
+            rules = [(r.id, r.predicates, r.reward, r.confidence) for r, _ in result.rules]
+            return rules, result.evaluations, result.agent_evaluations
+
+        assert [summary(r) for r in shared_results] == [summary(r) for r in fresh_results]
+        assert all(r.rules for r in shared_results)
+        for task in Task:
+            in_file_order = tuple(s for s in fresh.validation if s.task is task)
+            seen = [ctx.validation for ctx in contexts if ctx.task is task]
+            assert seen and all(v is shared.validation.for_task(task) for v in seen)
+            assert seen[0][:PROMPT_SAMPLES] == in_file_order[:PROMPT_SAMPLES]
+            assert tuple(seen[0]) == in_file_order
