@@ -43,6 +43,7 @@ from .rulebase import (
     DEFAULT_MIN_SUPPORT,
     RuleBase,
     RuleBaseMetadata,
+    check_labels,
     filter_by_reward,
     load_rulebase,
     online_validate,
@@ -147,13 +148,16 @@ def _cmd_induce(args: argparse.Namespace) -> int:
 
 def _cmd_filter(args: argparse.Namespace) -> int:
     base = load_rulebase(args.rules)
+    taxonomy = None
+    if args.labels:
+        taxonomy = load_taxonomy(args.labels)
+        check_labels(base.rules, taxonomy)
     rules = filter_by_reward(list(base.rules), args.min_reward)
     rules = remove_dominated(rules)
     dropped_online = 0
     if args.val:
-        if not args.labels:
+        if taxonomy is None:
             raise RulesmithError("--val requires --labels to load the validation set")
-        taxonomy = load_taxonomy(args.labels)
         validation = load_dataset(args.val, taxonomy)
         outcome = online_validate(
             rules, validation, min_precision=args.min_precision, min_support=args.min_support
@@ -173,6 +177,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(args.labels)
     samples = load_dataset(args.val, taxonomy)
     base = load_rulebase(args.rules)
+    check_labels(base.rules, taxonomy)
     predictor = _build_predictor(args.predictor, taxonomy, args.seed)
     result = predict_batch(
         base, predictor, samples, override_threshold=args.override_threshold

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import enum
 import unicodedata
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .dataset import DialogueSample, Speaker, Task
@@ -264,6 +266,11 @@ def eval_rule(rule: Rule, sample: DialogueSample) -> bool:
     return all(eval_predicate(p, sample) for p in rule.predicates)
 
 
+# Joins a field's texts for the ``contains`` sweep. Any character would do:
+# a needle that holds it is scanned per sample instead.
+_SEPARATOR = "\0"
+
+
 def _to_mask(flags: Sequence[bool]) -> int:
     """The bitset with bit i set iff ``flags[i]``."""
     return int("0" + "".join("1" if flag else "0" for flag in reversed(flags)), 2)
@@ -280,6 +287,15 @@ class SampleIndex(Sequence[DialogueSample]):
     of one task's samples, built once, so that every search of a task shares
     its bitsets. Nothing outlives the index.
 
+    ``contains`` and ``not_contains`` bitsets come from one ``str.find``
+    sweep over the field's texts joined by ``_SEPARATOR``: a needle without
+    the separator cannot span a joint, so each hit lies inside one sample's
+    text, found by ``bisect`` on the texts' start offsets, and the search
+    goes on from the next sample's start. ``not_contains`` is the
+    complement over all samples. An empty needle, or one that holds the
+    separator, falls back to a ``_holds`` scan per sample, as do
+    ``starts_with`` and ``ends_with``.
+
     The memo dicts only ever store one value per key: a value depends on its
     key and the samples alone. Threads may share an index, and a race between
     them costs a repeated computation and nothing else.
@@ -291,6 +307,7 @@ class SampleIndex(Sequence[DialogueSample]):
     def __init__(self, samples: Iterable[DialogueSample]) -> None:
         self.samples = tuple(samples)
         self._texts: dict[PredicateField, tuple[str, ...]] = {}
+        self._joined: dict[PredicateField, tuple[str, list[int]]] = {}
         self._predicate_masks: dict[Predicate, int] = {}
         self._task_masks = {task: _to_mask([s.task is task for s in self.samples]) for task in Task}
         self._label_masks: dict[str, int] = {}
@@ -321,11 +338,42 @@ class SampleIndex(Sequence[DialogueSample]):
             self._texts[field] = texts
         return texts
 
+    def _joined_texts(self, field: PredicateField) -> tuple[str, list[int]]:
+        """The field's texts joined by ``_SEPARATOR``, and each text's start
+        offset; one more offset, past the end, closes the last text."""
+        joined = self._joined.get(field)
+        if joined is None:
+            texts = self._field_texts(field)
+            starts = list(accumulate((len(t) + 1 for t in texts), initial=0))
+            joined = self._joined[field] = (_SEPARATOR.join(texts), starts)
+        return joined
+
+    def contains_mask(self, field: PredicateField, needle: str) -> int:
+        """The samples whose normalized ``field`` text holds ``needle``."""
+        if not needle or _SEPARATOR in needle:
+            return self._scan_mask(PredicateOp.CONTAINS, field, needle)
+        joined, starts = self._joined_texts(field)
+        mask = 0
+        at = joined.find(needle)
+        while at >= 0:
+            i = bisect_right(starts, at) - 1
+            mask |= 1 << i
+            at = joined.find(needle, starts[i + 1])
+        return mask
+
+    def _scan_mask(self, op: PredicateOp, field: PredicateField, needle: str) -> int:
+        return _to_mask([_holds(op, needle, text) for text in self._field_texts(field)])
+
     def predicate_mask(self, p: Predicate) -> int:
         mask = self._predicate_masks.get(p)
         if mask is None:
             needle = normalize_text(p.value)
-            mask = _to_mask([_holds(p.op, needle, text) for text in self._field_texts(p.field)])
+            if p.op is PredicateOp.CONTAINS:
+                mask = self.contains_mask(p.field, needle)
+            elif p.op is PredicateOp.NOT_CONTAINS:
+                mask = self.contains_mask(p.field, needle) ^ ((1 << len(self.samples)) - 1)
+            else:
+                mask = self._scan_mask(p.op, p.field, needle)
             self._predicate_masks[p] = mask
         return mask
 

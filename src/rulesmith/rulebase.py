@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import DialogueSample, Task, read_json
+from .dataset import DialogueSample, LabelTaxonomy, Task, read_json
 from .errors import PredicateSyntaxError, RuleBaseError
 from .predicate import (
     Predicate,
@@ -78,6 +78,16 @@ def filter_by_reward(
     if not 0.0 <= min_reward <= 1.0:
         raise ValueError(f"min_reward must be in [0, 1], got {min_reward!r}")
     return [r for r in rules if r.reward >= min_reward]
+
+
+def check_labels(rules: Sequence[Rule], taxonomy: LabelTaxonomy) -> None:
+    """Refuse the first rule whose label is not one of its task's labels."""
+    for rule in rules:
+        if rule.label not in taxonomy.labels_for(rule.task):
+            raise RuleBaseError(
+                f"rule {rule.id!r} has label {rule.label!r}, "
+                f"which is not a {rule.task.value} label of the taxonomy"
+            )
 
 
 def _dominated_indices(rules: Sequence[Rule]) -> set[int]:
@@ -148,6 +158,8 @@ def online_validate(
 
     if not 0.0 <= min_precision <= 1.0:
         raise ValueError(f"min_precision must be in [0, 1], got {min_precision!r}")
+    if min_support < 0:
+        raise ValueError(f"min_support must be non-negative, got {min_support!r}")
     if not validation:
         raise RuleBaseError("cannot validate rules against an empty validation set")
     kept: list[Rule] = []

@@ -14,6 +14,7 @@ from rulesmith import (
     PredictionSource,
     RuleBase,
     RuleBaseMetadata,
+    Task,
     load_dataset,
     load_rulebase,
     save_dataset,
@@ -225,6 +226,7 @@ def test_mock_and_stub_stages_never_import_requests(workspace):
         ["induce", "--agent", "foo"],
         ["predict", "--predictor", "stub"],
         ["predict", "--predictor", "foo"],
+        ["filter", "--min-support", "-3", "--val", "VAL", "--labels", "TAX"],
     ],
 )
 def test_malformed_values_are_structured_errors(workspace, capsys, argv):
@@ -243,7 +245,8 @@ def test_malformed_values_are_structured_errors(workspace, capsys, argv):
         "eval": ["--pred", preds, "--val", val],
         "report": [],
     }[argv[0]]
-    args = [str(broken) if a == "BROKEN" else a for a in argv]
+    placeholders = {"BROKEN": broken, "VAL": val, "TAX": tax}
+    args = [str(placeholders.get(a, a)) for a in argv]
     status = main(args + [str(a) for a in required])
     assert status == 1
     err = capsys.readouterr().err
@@ -291,9 +294,23 @@ def _predictions_for(val, edit):
     )
 
 
+def _rules_labelled(label, task=Task.INTENT):
+    """A rule base file whose second rule is a ``task`` rule labelled ``label``."""
+    def body(val):
+        rules = (make_rule("good", "refund", [contains("alpha")], 0.9),
+                 make_rule("bad", label, [contains("beta")], 0.9, task=task))
+        path = val.parent / "labelled.json"
+        save_rulebase(RuleBase(rules=rules, metadata=RuleBaseMetadata(created_at="x")), path)
+        return path.read_text(encoding="utf-8")
+    return body
+
+
 @pytest.mark.parametrize(
     "command, body, error",
     [
+        ("predict", _rules_labelled("nolabel"), "RuleBaseError"),
+        ("filter", _rules_labelled("nolabel"), "RuleBaseError"),
+        ("predict", _rules_labelled("refund", Task.IMAGE_SCENE), "RuleBaseError"),
         ("eval", lambda val: _predictions_for(val, lambda ids: ids + ids[:1]),
          "EvaluationError"),
         ("eval", lambda val: _predictions_for(val, lambda ids: ids + ["not-in-gold"]),
@@ -303,14 +320,19 @@ def _predictions_for(val, edit):
         ("report", lambda val: '{"oss": 0.5, "per_class": [1]}', "EvaluationError"),
         ("report", lambda val: '{"oss": 0.5, "counts": []}', "EvaluationError"),
     ],
-    ids=["eval-duplicate-id", "eval-unknown-id", "eval-number-id", "report-per-class",
-         "report-counts"],
+    ids=["predict-unknown-rule-label", "filter-unknown-rule-label",
+         "predict-rule-label-of-the-other-task", "eval-duplicate-id",
+         "eval-unknown-id", "eval-number-id", "report-per-class", "report-counts"],
 )
 def test_malformed_input_files_are_structured_errors(workspace, capsys, command, body, error):
     tmp, train, val, tax = workspace
     path = tmp / "input"
     path.write_text(body(val), encoding="utf-8")
+    out = tmp / "out"
     argv = {
+        "predict": ["predict", "--val", val, "--labels", tax, "--rules", path,
+                    "--predictor", "stub:0.5", "--out", out],
+        "filter": ["filter", "--rules", path, "--labels", tax, "--out", out],
         "eval": ["eval", "--pred", path, "--val", val, "--labels", tax],
         "report": ["report", "--report", path],
     }[command]
@@ -320,6 +342,9 @@ def test_malformed_input_files_are_structured_errors(workspace, capsys, command,
     last = json.loads(err.strip().splitlines()[-1])
     assert set(last) == {"error", "message"}
     assert last["error"] == error
+    if command in ("predict", "filter"):
+        assert "'bad'" in last["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -2,12 +2,15 @@
 
 Random small corpora mix case and full-width variants of the same words, so
 normalization is exercised on both sides; random predicates cover every
-field and every operator.
+field and every operator. Words and needles also probe the ``contains``
+sweep over a field's joined texts: a needle that only matches across the
+joint of two samples, texts and needles that hold the separator, overlapping
+occurrences, and needles longer than every text.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rulesmith import (
@@ -31,9 +34,17 @@ from rulesmith import (
     measure_rule,
     predict_batch,
 )
+import rulesmith.predicate as predicate
 from rulesmith.agents import MAX_TOKEN_LENGTH, sample_tokens
 
-WORDS = ["ab", "AB", "ａｂ", "Ab", "c", "Ｃ", "de", "fg", "hi", "jk", "退货", "退", "货物", "x1", "Ｘ１"]
+WORDS = [
+    "ab", "AB", "ａｂ", "Ab", "c", "Ｃ", "de", "fg", "hi", "jk", "退货", "退", "货物", "x1", "Ｘ１",
+    "a\0b", "aaaa",
+]
+# "bc" matches only across the joint of a text ending in "ab" and one
+# starting with "c"; "\0" is the sweep's separator; "ab" * 64 is longer
+# than any text.
+VALUES = WORDS + ["ab c", "退货 ab", "bc", "\0", "aa", "ab" * 64]
 INTENT_LABELS = ["refund", "shipping", "invoice"]
 SCENE_LABELS = ["receipt", "tracking"]
 TAXONOMY = LabelTaxonomy(intent=tuple(INTENT_LABELS), image_scene=tuple(SCENE_LABELS))
@@ -65,7 +76,7 @@ predicates = st.builds(
     Predicate,
     field=st.sampled_from(list(PredicateField)),
     op=st.sampled_from(list(PredicateOp)),
-    value=st.sampled_from(WORDS + ["ab c", "退货 ab"]),
+    value=st.sampled_from(VALUES),
 )
 
 
@@ -177,6 +188,61 @@ def test_mock_proposals_equal_a_per_token_rescan(corpus, current, k):
             task=task, label=label, exemplars=(), validation=(), current=current
         )
         assert agent.propose_predicates(ctx, k) == rescanned_proposals(corpus, ctx, k)
+
+
+def ocr_samples(*texts: str) -> list[DialogueSample]:
+    return [
+        DialogueSample(f"s{i:02d}", Task.IMAGE_SCENE, (), text, image_ref="img.png")
+        for i, text in enumerate(texts)
+    ]
+
+
+def holds_recount(p: Predicate, corpus) -> int:
+    return sum(1 << i for i, sample in enumerate(corpus) if eval_predicate(p, sample))
+
+
+# The joint of "xab" and "cy" spells "bc"; empty texts make adjacent
+# separators; "x" hits only the first sample and "yy" only the last.
+EDGE_CORPUS = ocr_samples("xab", "cy", "", "", "a\0b", "aaaa", "", "ab yy")
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=corpora(), values=st.lists(st.sampled_from(VALUES), min_size=1, max_size=4))
+@example(corpus=EDGE_CORPUS, values=["bc", "\0", "a\0b", "aa", "aaaa", "cy", "x", "yy"])
+@example(corpus=[], values=["ab", "\0"])
+def test_predicate_masks_equal_a_holds_recount(corpus, values):
+    index = SampleIndex(corpus)
+    for value in values:
+        for field in PredicateField:
+            for op in PredicateOp:
+                p = Predicate(field, op, value)
+                assert index.predicate_mask(p) == holds_recount(p, corpus), p
+    # No predicate has an empty value, so the empty needle is asked directly.
+    for field in PredicateField:
+        assert index.contains_mask(field, "") == (1 << len(corpus)) - 1
+
+
+def test_contains_masks_make_no_per_sample_holds_call(monkeypatch):
+    calls = []
+    holds = predicate._holds
+    monkeypatch.setattr(
+        predicate, "_holds", lambda *args: calls.append(args) or holds(*args)
+    )
+    index = SampleIndex(EDGE_CORPUS)
+    scans = {
+        PredicateOp.CONTAINS: 0,
+        PredicateOp.NOT_CONTAINS: 0,
+        PredicateOp.STARTS_WITH: 1,
+        PredicateOp.ENDS_WITH: 1,
+    }
+    for field in PredicateField:
+        for op, per_sample in scans.items():
+            calls.clear()
+            index.predicate_mask(Predicate(field, op, "ab"))
+            assert len(calls) == per_sample * len(EDGE_CORPUS), (field, op)
+        calls.clear()
+        index.predicate_mask(Predicate(field, PredicateOp.NOT_CONTAINS, "a\0b"))
+        assert len(calls) == len(EDGE_CORPUS)
 
 
 def test_index_is_the_sequence_of_its_samples():
