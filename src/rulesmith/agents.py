@@ -17,7 +17,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence, TypeVar
+from typing import Callable, Protocol, Sequence, TypeVar
 
 from .dataset import DialogueSample, Task
 from .errors import AgentError, AgentProtocolError, AgentUnavailableError, PredicateSyntaxError
@@ -32,9 +32,6 @@ from .predicate import (
     parse_predicate,
     render_predicate,
 )
-
-if TYPE_CHECKING:
-    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -265,35 +262,99 @@ def http_chat_transport(
     model: str = "default",
     timeout: float = DEFAULT_TIMEOUT,
     api_key_env: str = AGENT_KEY_ENV,
-    session: requests.Session | None = None,
 ) -> Transport:
     """POST messages to a chat-completions endpoint, return the reply text.
 
-    ``requests`` is imported here rather than at module level, so that runs
-    with the mock agent and the stub predictor never load it.
+    The URL and the proxy are checked and resolved here, once: a malformed
+    URL raises ``ValueError`` before any request is sent. The proxy comes
+    from ``http_proxy``/``https_proxy`` unless ``no_proxy`` covers the host.
+    Each thread keeps one kept-alive connection, replaced after any failure
+    and, before reuse, once the peer has closed it. A status outside 2xx
+    (redirects included), a broken HTTP exchange or a body that is not JSON
+    raises an ``OSError``, which ``structured_call`` retries. The HTTP
+    modules are imported here rather than at module level, so that runs
+    with the mock agent and the stub predictor never load them.
     """
 
-    import requests
+    import base64
+    import http.client
+    import select
+    import ssl
+    import threading
+    import urllib.parse
+    import urllib.request
 
-    http = session or requests.Session()
+    url = urllib.parse.urlsplit(endpoint)
+    try:
+        port = url.port  # None when absent
+    except ValueError as exc:  # not a number, or out of range
+        raise ValueError(f"endpoint {endpoint!r}: {exc}") from None
+    if url.scheme not in ("http", "https") or not url.hostname:
+        raise ValueError(f"endpoint must be an http(s):// URL with a host, got {endpoint!r}")
+    host = url.hostname
+    target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+    tls = ssl.create_default_context() if url.scheme == "https" else None
+    proxy_headers: dict[str, str] = {}
+    tunnel = None
+    proxies = urllib.request.getproxies_environment()
+    proxy = proxies.get(url.scheme)
+    if proxy and not urllib.request.proxy_bypass_environment(
+        host if port is None else f"{host}:{port}", proxies
+    ):
+        via = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        if via.scheme != "http" or not via.hostname:
+            raise ValueError(f"{url.scheme}_proxy must be an http:// URL, got {proxy!r}")
+        if via.username is not None:
+            user, password = (urllib.parse.unquote(v or "") for v in (via.username, via.password))
+            token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
+            proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+        if tls is not None:  # HTTPS: a CONNECT tunnel through the proxy
+            tunnel = (host, port)
+        else:  # HTTP: the proxy takes the absolute URI
+            target = f"http://{url.netloc}{target}"
+        host, port = via.hostname, via.port or 80
+    local = threading.local()
+
+    def connection() -> http.client.HTTPConnection:
+        conn = getattr(local, "conn", None)
+        if conn is None:
+            if tls is None:
+                conn = http.client.HTTPConnection(host, port, timeout=timeout)
+            else:
+                conn = http.client.HTTPSConnection(host, port, timeout=timeout, context=tls)
+            if tunnel is not None:
+                conn.set_tunnel(*tunnel, headers=proxy_headers)
+            local.conn = conn
+        elif conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            # An idle socket is readable only once the peer has closed it
+            # (or sent what no request asked for): reconnect, spending no attempt.
+            conn.close()
+        return conn
 
     def send(messages: list[dict[str, str]]) -> str:
         headers = {"Content-Type": "application/json"}
+        if tunnel is None:
+            headers.update(proxy_headers)
         key = os.environ.get(api_key_env)
         if key:
             headers["Authorization"] = f"Bearer {key}"
-        response = http.post(
-            endpoint,
-            json={"model": model, "messages": messages},
-            headers=headers,
-            timeout=timeout,
-        )
-        response.raise_for_status()
+        payload = json.dumps({"model": model, "messages": messages}).encode("utf-8")
+        conn = connection()
         try:
-            body = response.json()
-        except (ValueError, RecursionError) as exc:  # also too deep, or an over-long integer
-            raise requests.exceptions.InvalidJSONError(
-                f"reply body is not valid JSON: {exc}"
+            conn.request("POST", target, payload, headers)
+            response = conn.getresponse()
+            raw = response.read()
+            if not 200 <= response.status < 300:
+                raise ConnectionError(f"HTTP {response.status} {response.reason} from {endpoint}")
+            body = json.loads(raw)
+        # ValueError and RecursionError: a body too deep, an over-long
+        # integer, or a header value http.client refuses to send.
+        except (OSError, http.client.HTTPException, ValueError, RecursionError) as exc:
+            conn.close()  # the next attempt opens a fresh connection
+            if isinstance(exc, OSError):
+                raise
+            raise ConnectionError(
+                f"bad reply from {endpoint}: {type(exc).__name__}: {exc}"
             ) from None
         try:
             content = body["choices"][0]["message"]["content"]
@@ -316,8 +377,8 @@ def structured_call(
     A reply that ``parse`` rejects with ``AgentProtocolError`` is retried
     with the parse error echoed back to the model; a transport failure is
     retried as-is. A transport failure is any ``OSError``: socket errors,
-    timeouts, and every ``requests.RequestException``, HTTP error statuses
-    and undecodable bodies included. Once the budget is spent the last error
+    timeouts, and what ``http_chat_transport`` raises for HTTP error
+    statuses, broken responses and undecodable bodies. Once the budget is spent the last error
     is raised: ``AgentProtocolError`` for an invalid reply,
     ``AgentUnavailableError`` for a transport failure.
     """
@@ -327,7 +388,7 @@ def structured_call(
     for attempt in range(1, RETRIES + 1):
         try:
             content = send(conversation)
-        except OSError as exc:  # requests.RequestException is an OSError
+        except OSError as exc:  # http_chat_transport's failures are OSErrors
             last_error = AgentUnavailableError(f"transport failure: {exc}")
             logger.warning("transport failure (attempt %d): %s", attempt, exc)
             continue

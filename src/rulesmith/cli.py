@@ -44,6 +44,7 @@ from .rulebase import (
     RuleBase,
     RuleBaseMetadata,
     check_labels,
+    check_thresholds,
     filter_by_reward,
     load_rulebase,
     online_validate,
@@ -147,6 +148,7 @@ def _cmd_induce(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
+    check_thresholds(args.min_precision, args.min_support)  # with or without --val
     base = load_rulebase(args.rules)
     taxonomy = None
     if args.labels:

@@ -145,6 +145,16 @@ class OnlineValidation:
     dropped: tuple[tuple[Rule, RuleQuality], ...]
 
 
+def check_thresholds(min_precision: float, min_support: int) -> None:
+    """Raise ``ValueError`` unless ``min_precision`` is in [0, 1] and
+    ``min_support`` is non-negative."""
+
+    if not 0.0 <= min_precision <= 1.0:
+        raise ValueError(f"min_precision must be in [0, 1], got {min_precision!r}")
+    if min_support < 0:
+        raise ValueError(f"min_support must be non-negative, got {min_support!r}")
+
+
 def online_validate(
     rules: Sequence[Rule],
     validation: Sequence[DialogueSample],
@@ -156,10 +166,7 @@ def online_validate(
     Kept rules carry the measured precision as their reward from here on.
     """
 
-    if not 0.0 <= min_precision <= 1.0:
-        raise ValueError(f"min_precision must be in [0, 1], got {min_precision!r}")
-    if min_support < 0:
-        raise ValueError(f"min_support must be non-negative, got {min_support!r}")
+    check_thresholds(min_precision, min_support)
     if not validation:
         raise RuleBaseError("cannot validate rules against an empty validation set")
     kept: list[Rule] = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import socket
 import subprocess
 import sys
 import threading
@@ -178,28 +179,58 @@ def chat_body(content: str) -> str:
 class ScriptedHTTPServer:
     """Loopback endpoint answering each POST with the next ``(status, body)``.
 
-    Records every request body it receives. As a context manager it serves
-    from a daemon thread on a port the OS picks, until the block ends.
+    ``replies`` is a list of such pairs, or a function from the request body
+    to one. Records every request body in ``requests`` and, in ``seen``,
+    every request's ``(method, path, headers, client port)``; a CONNECT is
+    recorded and refused with 403. It speaks HTTP/1.0, so it closes the
+    connection after each reply, unless ``http11``. With
+    ``close_after_reply`` as well, it closes after each reply without
+    saying so, and releases ``closed`` once the socket is shut. As a context
+    manager it serves from a daemon thread on a port the OS picks, until the
+    block ends.
     """
 
-    def __init__(self, replies: list[tuple[int, str]]) -> None:
-        self.replies = list(replies)
+    def __init__(self, replies, *, http11: bool = False, close_after_reply: bool = False) -> None:
+        self.replies = replies if callable(replies) else list(replies)
         self.requests: list[dict] = []
+        self.seen: list[tuple] = []
+        self.closed = threading.Semaphore(0)
         lock = threading.Lock()
         server = self
 
         class Handler(BaseHTTPRequestHandler):
-            def do_POST(self) -> None:
-                body = self.rfile.read(int(self.headers["Content-Length"]))
+            protocol_version = "HTTP/1.1" if http11 else "HTTP/1.0"
+
+            def record(self) -> None:
                 with lock:
-                    server.requests.append(json.loads(body))
-                    status, reply = server.replies.pop(0)
+                    server.seen.append(
+                        (self.command, self.path, self.headers, self.client_address[1])
+                    )
+
+            def do_POST(self) -> None:
+                self.record()
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                with lock:
+                    server.requests.append(body)
+                    if not callable(server.replies):
+                        status, reply = server.replies.pop(0)
+                if callable(server.replies):  # outside the lock: it may wait for other requests
+                    status, reply = server.replies(body)
                 payload = reply.encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()
                 self.wfile.write(payload)
+                if close_after_reply:
+                    self.close_connection = True
+                    self.connection.shutdown(socket.SHUT_WR)
+                    server.closed.release()
+
+            def do_CONNECT(self) -> None:
+                self.record()
+                self.send_response(403)
+                self.end_headers()
 
             def log_message(self, format, *args) -> None:  # keep test output quiet
                 pass

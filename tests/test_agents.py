@@ -226,11 +226,7 @@ class TestRemoteAgent:
         assert "fenced block is not valid JSON" in follow_up[-1]["content"]
 
     def test_transport_failure_exhausts_into_unavailable(self):
-        import requests
-
-        transport = ScriptedTransport(
-            [requests.ConnectionError("down")] * 3
-        )
+        transport = ScriptedTransport([ConnectionError("down")] * 3)
         agent = RemoteAgent("http://example", transport=transport)
         with pytest.raises(AgentUnavailableError):
             agent.propose_predicates(self.make_ctx(), k=3)

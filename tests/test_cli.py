@@ -203,10 +203,13 @@ def test_mock_and_stub_stages_never_import_requests(workspace):
         "import json, sys\n"
         "from rulesmith.cli import main\n"
         "status = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "print(json.dumps({'status': status, 'requests': 'requests' in sys.modules}))\n",
+        "print(json.dumps({'status': status, 'requests': 'requests' in sys.modules,\n"
+        "                  'http.client': 'http.client' in sys.modules}))\n",
         json.dumps([[str(a) for a in stage] for stage in stages]),
     )
-    assert json.loads(out.splitlines()[-1]) == {"status": [0, 0, 0], "requests": False}
+    assert json.loads(out.splitlines()[-1]) == {
+        "status": [0, 0, 0], "requests": False, "http.client": False
+    }
 
 
 @pytest.mark.parametrize(
@@ -227,6 +230,9 @@ def test_mock_and_stub_stages_never_import_requests(workspace):
         ["predict", "--predictor", "stub"],
         ["predict", "--predictor", "foo"],
         ["filter", "--min-support", "-3", "--val", "VAL", "--labels", "TAX"],
+        ["filter", "--min-precision", "5", "--min-support", "-3"],
+        ["filter", "--min-precision", "5"],
+        ["filter", "--min-support", "-3"],
     ],
 )
 def test_malformed_values_are_structured_errors(workspace, capsys, argv):
@@ -255,6 +261,32 @@ def test_malformed_values_are_structured_errors(workspace, capsys, argv):
     assert set(error) == {"error", "message"}
     if "--out" in required:
         assert not required[required.index("--out") + 1].exists()
+
+
+@pytest.mark.parametrize(
+    "url",
+    ["http://", "http://127.0.0.1:99999/v1", "http://127.0.0.1:abc/"],
+    ids=["no-host", "port-out-of-range", "port-not-a-number"],
+)
+@pytest.mark.parametrize("option", ["--agent", "--predictor"])
+def test_malformed_endpoint_url_is_refused_before_any_request(
+    workspace, capsys, option, url
+):
+    tmp, train, val, tax = workspace
+    rules = tmp / "rules.json"
+    save_rulebase(RuleBase(rules=(), metadata=RuleBaseMetadata(created_at="x")), rules)
+    out = tmp / "out"
+    argv = {
+        "--agent": ["induce", "--train", train, "--val", val, "--labels", tax],
+        "--predictor": ["predict", "--val", val, "--labels", tax, "--rules", rules],
+    }[option]
+    status = main([str(a) for a in argv + [option, url, "--out", out]])
+    assert status == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # A ValueError from building the transport, not a failure of a request.
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "ValueError"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["rephrase", "induce"])

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import base64
+import sys
+import threading
+
 import pytest
-import requests
 
 from rulesmith import (
     AgentContext,
@@ -15,7 +18,8 @@ from rulesmith import (
     RewardEstimate,
     Task,
 )
-from rulesmith.agents import http_chat_transport
+from rulesmith.agents import AGENT_KEY_ENV, http_chat_transport
+from rulesmith.inference import PREDICTOR_KEY_ENV
 from _helpers import (
     ScriptedHTTPServer,
     chat_body,
@@ -27,18 +31,19 @@ from _helpers import (
 )
 
 TAX = taxonomy_for(["refund", "shipping"])
+MESSAGES = [{"role": "user", "content": "hello"}]
 
 
-@pytest.fixture
-def session():
-    http = requests.Session()
-    http.trust_env = False  # a proxy from the environment must not see loopback calls
-    yield http
-    http.close()
+@pytest.fixture(autouse=True)
+def no_proxy_variables(monkeypatch):
+    """A proxy from the environment must not see loopback calls."""
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
 
 
-def judge_rule(url: str, session: requests.Session) -> RewardEstimate:
-    agent = RemoteAgent(url, transport=http_chat_transport(url, session=session))
+def judge_rule(url: str) -> RewardEstimate:
+    agent = RemoteAgent(url)
     sample = intent_sample("s", "refund", "我要退货")
     ctx = AgentContext(
         task=Task.INTENT, label="refund", exemplars=(sample,), validation=(sample,)
@@ -47,8 +52,8 @@ def judge_rule(url: str, session: requests.Session) -> RewardEstimate:
     return agent.evaluate_rule(ctx, rule)
 
 
-def classify(url: str, session: requests.Session) -> str:
-    predictor = RemotePredictor(url, TAX, transport=http_chat_transport(url, session=session))
+def classify(url: str) -> str:
+    predictor = RemotePredictor(url, TAX)
     return predictor.predict(intent_sample("s", None, "我要退货"))
 
 
@@ -64,13 +69,19 @@ CALLERS = {
 
 
 @pytest.mark.parametrize("caller", CALLERS)
-def test_fenced_reply_parses(session, caller):
+def test_fenced_reply_parses(monkeypatch, caller):
     call, reply, expected, _ = CALLERS[caller]
+    monkeypatch.setenv(AGENT_KEY_ENV, "agent-key")
+    monkeypatch.setenv(PREDICTOR_KEY_ENV, "predictor-key")
     with ScriptedHTTPServer([(200, chat_body(f"Sure:\n{reply}\n"))]) as server:
-        assert call(server.url, session) == expected
+        assert call(server.url) == expected
     [sent] = server.requests
     assert sent["model"] == "default"
     assert sent["messages"][0]["role"] == "system"
+    [(method, path, headers, _)] = server.seen
+    assert (method, path) == ("POST", "/v1/chat/completions")
+    assert headers["Content-Type"] == "application/json"
+    assert headers["Authorization"] == f"Bearer {caller}-key"
 
 
 @pytest.mark.parametrize(
@@ -84,36 +95,150 @@ def test_fenced_reply_parses(session, caller):
     ids=["http-500", "non-json", "too-deep-json", "over-long-integer"],
 )
 @pytest.mark.parametrize("caller", CALLERS)
-def test_bad_response_is_a_transport_failure_retried_to_the_budget(
-    session, caller, status, body
-):
+def test_bad_response_is_a_transport_failure_retried_to_the_budget(caller, status, body):
     call, _, _, error = CALLERS[caller]
     with ScriptedHTTPServer([(status, body)] * 4) as server:
         with pytest.raises(error, match="transport failure"):
-            call(server.url, session)
+            call(server.url)
     assert len(server.requests) == 3
 
 
 @pytest.mark.parametrize("caller", CALLERS)
-def test_reply_without_choices_is_retried_as_is_to_the_budget(session, caller):
+def test_reply_without_choices_is_retried_as_is_to_the_budget(caller):
     call = CALLERS[caller][0]
     error = {"agent": AgentProtocolError, "predictor": PredictorError}[caller]
     with ScriptedHTTPServer([(200, '{"id": "x"}')] * 4) as server:
         with pytest.raises(error, match=r"choices\[0\]\.message\.content"):
-            call(server.url, session)
+            call(server.url)
     assert len(server.requests) == 3
     # A malformed envelope carries no reply to echo back: every attempt
     # resends the first conversation unchanged.
     assert all(sent == server.requests[0] for sent in server.requests)
 
 
-def test_requests_is_imported_only_when_a_transport_is_built():
-    out = run_python(
-        "import sys\n"
-        "import rulesmith.inference\n"
-        "from rulesmith.agents import http_chat_transport\n"
-        "before = 'requests' in sys.modules\n"
-        "http_chat_transport('http://127.0.0.1:9/')\n"
-        "print(before, 'requests' in sys.modules)\n"
-    )
-    assert out.split() == ["False", "True"]
+def _client_ports(server: ScriptedHTTPServer) -> list[int]:
+    return [port for *_, port in server.seen]
+
+
+def test_calls_share_one_kept_alive_connection():
+    with ScriptedHTTPServer([(200, chat_body("hi"))] * 5, http11=True) as server:
+        send = http_chat_transport(server.url)
+        assert [send(MESSAGES) for _ in range(5)] == ["hi"] * 5
+    assert len(set(_client_ports(server))) == 1
+
+
+def test_a_failure_closes_the_connection():
+    replies = [(500, "internal error"), (200, chat_body("hi")), (200, chat_body("hi"))]
+    with ScriptedHTTPServer(replies, http11=True) as server:
+        send = http_chat_transport(server.url)
+        with pytest.raises(ConnectionError, match="HTTP 500"):
+            send(MESSAGES)
+        assert [send(MESSAGES) for _ in range(2)] == ["hi"] * 2
+    first, second, third = _client_ports(server)
+    assert first != second == third
+
+
+def test_a_connection_the_peer_closed_is_replaced_before_reuse():
+    """The server closes after each reply without a ``Connection: close``."""
+    replies = [(200, chat_body("hi"))] * 4
+    with ScriptedHTTPServer(replies, http11=True, close_after_reply=True) as server:
+        send = http_chat_transport(server.url)
+        for _ in range(4):
+            # A bare transport call: no retry loop could hide a spent attempt.
+            assert send(MESSAGES) == "hi"
+            assert server.closed.acquire(timeout=5)
+    assert len(server.requests) == 4
+    assert len(set(_client_ports(server))) == 4
+
+
+def test_threads_sharing_a_transport_use_their_own_connections():
+    both_in_flight = threading.Barrier(2, timeout=5)
+
+    def echo(body):
+        both_in_flight.wait()  # two requests at once cannot share one connection
+        return 200, chat_body(body["messages"][-1]["content"])
+
+    replies: dict[str, list[str]] = {}
+    with ScriptedHTTPServer(echo, http11=True) as server:
+        send = http_chat_transport(server.url)
+
+        def ask(name: str) -> None:
+            replies[name] = [
+                send([{"role": "user", "content": f"{name}{i}"}]) for i in range(3)
+            ]
+
+        threads = [threading.Thread(target=ask, args=(name,)) for name in ("a", "b")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+    assert replies == {"a": ["a0", "a1", "a2"], "b": ["b0", "b1", "b2"]}
+    assert len(set(_client_ports(server))) == 2
+
+
+@pytest.mark.parametrize("bypass", [False, True], ids=["proxied", "no-proxy"])
+def test_http_proxy_comes_from_the_environment(monkeypatch, bypass):
+    with ScriptedHTTPServer([(200, chat_body("hi"))]) as endpoint, \
+            ScriptedHTTPServer([(200, chat_body("hi"))]) as proxy:
+        proxy_root = proxy.url.removesuffix("/v1/chat/completions")
+        monkeypatch.setenv("http_proxy", proxy_root.replace("://", "://user:p%40ss@"))
+        if bypass:
+            monkeypatch.setenv("no_proxy", "example.org, 127.0.0.1")
+        assert http_chat_transport(endpoint.url)(MESSAGES) == "hi"
+    if bypass:
+        assert proxy.seen == []
+        [(_, path, headers, _)] = endpoint.seen
+        assert path == "/v1/chat/completions"
+        assert "Proxy-Authorization" not in headers
+    else:
+        assert endpoint.seen == []
+        [(_, path, headers, _)] = proxy.seen
+        assert path == endpoint.url  # the absolute URI
+        assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+
+def test_https_through_a_proxy_asks_for_a_tunnel(monkeypatch):
+    with ScriptedHTTPServer([]) as proxy:
+        monkeypatch.setenv("https_proxy", proxy.url.removesuffix("/v1/chat/completions"))
+        send = http_chat_transport("https://example.invalid/v1/chat/completions")
+        with pytest.raises(OSError, match="Tunnel connection failed: 403"):
+            send(MESSAGES)
+    [(method, path, _, _)] = proxy.seen
+    assert (method, path) == ("CONNECT", "example.invalid:443")
+
+
+@pytest.mark.parametrize(
+    "url",
+    ["http://", "http://127.0.0.1:99999/v1", "http://127.0.0.1:abc/", "ftp://127.0.0.1/"],
+    ids=["no-host", "port-out-of-range", "port-not-a-number", "not-http"],
+)
+def test_malformed_endpoint_is_refused_when_the_transport_is_built(url):
+    with pytest.raises(ValueError):
+        http_chat_transport(url)
+
+
+def test_a_proxy_that_is_not_http_is_refused_when_the_transport_is_built(monkeypatch):
+    monkeypatch.setenv("http_proxy", "socks5://127.0.0.1:1080")
+    with pytest.raises(ValueError, match="http_proxy"):
+        http_chat_transport("http://example.invalid/v1")
+
+
+def test_a_transport_loads_no_third_party_module():
+    with ScriptedHTTPServer([(200, chat_body("hi"))]) as server:
+        out = run_python(
+            "import sys\n"
+            "bare = set(sys.modules)\n"
+            "from rulesmith.agents import http_chat_transport\n"
+            "reply = http_chat_transport(sys.argv[1])([{'role': 'user', 'content': 'x'}])\n"
+            "print(reply, 'requests' in sys.modules, 'urllib3' in sys.modules)\n"
+            "print(*sorted(set(sys.modules) - bare))\n",
+            server.url,
+        )
+    first, added = out.splitlines()
+    assert first.split() == ["hi", "False", "False"]
+    foreign = [
+        name for name in added.split()
+        if name.split(".")[0] not in sys.stdlib_module_names | {"rulesmith"}
+    ]
+    assert not foreign, f"a transport loads third-party modules: {foreign}"

@@ -289,10 +289,8 @@ class TestRemotePredictor:
         assert conversations[1][:2] == conversations[0]
 
     def test_transport_failure_becomes_a_predictor_error(self):
-        import requests
-
         def transport(messages):
-            raise requests.ConnectionError("down")
+            raise ConnectionError("down")
 
         predictor = RemotePredictor("http://example", TAX, transport=transport)
         with pytest.raises(PredictorError, match="down"):
