@@ -28,6 +28,7 @@ from .dataset import (
 from .errors import RulesmithError
 from .harness import evaluate, format_report, load_report, report_to_dict, save_report
 from .inference import (
+    DEFAULT_OVERRIDE_THRESHOLD,
     Predictor,
     RemotePredictor,
     StubPredictor,
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--rules", required=True)
     p.add_argument("--predictor", required=True, help="'stub:<accuracy>' or an endpoint URL")
-    p.add_argument("--override-threshold", type=float, default=0.8)
+    p.add_argument("--override-threshold", type=float, default=DEFAULT_OVERRIDE_THRESHOLD)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None, help="optionally write the run report here")

@@ -1,16 +1,19 @@
 """Class-weighted F1 scoring over one or both task families.
 
 Three headline scores: the intent-task score, the image-scene score, and a
-unified score computed over the union of both tasks with their joint
-(disjoint) label space. Because labels never cross tasks, the unified
-score equals the support-weighted mean of the per-task scores, and with
-equal supports it is exactly their average. The plain average is also
-reported for transparency on unbalanced sets.
+unified score over both tasks' joint (disjoint) label space. Every score
+comes from one count of (gold, predicted) pairs per task; the sum of the
+two counts gives the unified score and the per-class rows. While
+predictions stay within their sample's task, the unified score is the
+support-weighted mean of the per-task scores; a prediction from the other
+task's labels is a false positive only in the unified score. The plain
+average is also reported for transparency on unbalanced sets.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -45,26 +48,39 @@ class EvalReport:
     image_scene_count: int
 
 
-def _class_stats(gold: Sequence[str], pred: Sequence[str], label: str) -> ClassStats:
-    tp = sum(1 for g, p in zip(gold, pred) if g == label and p == label)
-    fp = sum(1 for g, p in zip(gold, pred) if g != label and p == label)
-    fn = sum(1 for g, p in zip(gold, pred) if g == label and p != label)
-    support = tp + fn
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / support if support else 0.0
-    # Equivalent to 2PR/(P+R) with the 0-when-degenerate convention.
-    f1 = 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0
-    return ClassStats(label=label, precision=precision, recall=recall, f1=f1, support=support)
+def _score(
+    pairs: Counter[tuple[str, str]], labels: Sequence[str]
+) -> tuple[float, tuple[ClassStats, ...]]:
+    """Support-weighted F1 from counts of (gold, predicted) pairs, and each
+    label's stats in ``labels`` order. Classes with zero support contribute
+    zero weight; a class whose precision and recall are both zero scores zero F1.
+    """
+
+    gold_counts: Counter[str] = Counter()
+    pred_counts: Counter[str] = Counter()
+    for (gold, pred), n in pairs.items():
+        gold_counts[gold] += n
+        pred_counts[pred] += n
+    stats = []
+    for label in labels:
+        tp = pairs[label, label]
+        support = gold_counts[label]
+        predicted = pred_counts[label]
+        precision = tp / predicted if predicted else 0.0
+        recall = tp / support if support else 0.0
+        # Equivalent to 2PR/(P+R) with the 0-when-degenerate convention.
+        f1 = 2 * tp / (support + predicted) if support + predicted else 0.0
+        stats.append(ClassStats(label, precision, recall, f1, support))
+    total = 0.0
+    for row in sorted(stats, key=lambda row: row.label):
+        total += row.support * row.f1
+    return total / sum(gold_counts.values()), tuple(stats)
 
 
 def weighted_f1(
     gold: Sequence[str], pred: Sequence[str], labels: Sequence[str] | set[str]
 ) -> float:
-    """Support-weighted mean of per-class F1 scores.
-
-    Classes with zero support contribute zero weight; a class whose
-    precision and recall are both zero scores zero F1.
-    """
+    """Support-weighted mean of per-class F1 scores."""
 
     if len(gold) != len(pred):
         raise EvaluationError(
@@ -76,11 +92,7 @@ def weighted_f1(
     for g in gold:
         if g not in label_set:
             raise EvaluationError(f"gold label {g!r} is not in the given label set")
-    total = 0.0
-    for label in sorted(label_set):
-        stats = _class_stats(gold, pred, label)
-        total += stats.support * stats.f1
-    return total / len(gold)
+    return _score(Counter(zip(gold, pred)), sorted(label_set))[0]
 
 
 def evaluate(
@@ -106,50 +118,35 @@ def evaluate(
             f"{len(unknown)} prediction(s) for ids not in the gold set, "
             f"the first {unknown[0]!r}"
         )
-    gold_by_task: dict[Task, list[str]] = {Task.INTENT: [], Task.IMAGE_SCENE: []}
-    pred_by_task: dict[Task, list[str]] = {Task.INTENT: [], Task.IMAGE_SCENE: []}
+    pairs: dict[Task, Counter[tuple[str, str]]] = {task: Counter() for task in Task}
     for sample in samples:
         if sample.gold_label is None:
             raise EvaluationError(f"gold sample {sample.id!r} has no gold_label")
         prediction = by_id.get(sample.id)
         if prediction is None:
             raise EvaluationError(f"no prediction for sample id {sample.id!r}")
-        gold_by_task[sample.task].append(sample.gold_label)
-        pred_by_task[sample.task].append(prediction.label)
+        pairs[sample.task][sample.gold_label, prediction.label] += 1
 
-    intent_count = len(gold_by_task[Task.INTENT])
-    image_scene_count = len(gold_by_task[Task.IMAGE_SCENE])
+    scores: dict[Task, float | None] = {}
+    for task in Task:
+        labels = taxonomy.labels_for(task)
+        # A counter keeps insertion order: the first bad pair is the first bad sample.
+        for gold, _ in pairs[task]:
+            if gold not in labels:
+                raise EvaluationError(f"gold label {gold!r} is not in the given label set")
+        scores[task] = _score(pairs[task], labels)[0] if pairs[task] else None
 
-    dis = (
-        weighted_f1(gold_by_task[Task.INTENT], pred_by_task[Task.INTENT], taxonomy.intent)
-        if intent_count
-        else None
-    )
-    iss = (
-        weighted_f1(
-            gold_by_task[Task.IMAGE_SCENE], pred_by_task[Task.IMAGE_SCENE], taxonomy.image_scene
-        )
-        if image_scene_count
-        else None
-    )
-
-    joint_gold = gold_by_task[Task.INTENT] + gold_by_task[Task.IMAGE_SCENE]
-    joint_pred = pred_by_task[Task.INTENT] + pred_by_task[Task.IMAGE_SCENE]
-    oss = weighted_f1(joint_gold, joint_pred, taxonomy.joint_labels())
-    present = [score for score in (dis, iss) if score is not None]
+    oss, per_class = _score(pairs[Task.INTENT] + pairs[Task.IMAGE_SCENE], taxonomy.joint_labels())
+    present = [score for score in scores.values() if score is not None]
     oss_mean = sum(present) / len(present)
-
-    per_class = tuple(
-        _class_stats(joint_gold, joint_pred, label) for label in taxonomy.joint_labels()
-    )
     return EvalReport(
-        dis=dis,
-        iss=iss,
+        dis=scores[Task.INTENT],
+        iss=scores[Task.IMAGE_SCENE],
         oss=oss,
         oss_mean=oss_mean,
         per_class=per_class,
-        intent_count=intent_count,
-        image_scene_count=image_scene_count,
+        intent_count=sum(pairs[Task.INTENT].values()),
+        image_scene_count=sum(pairs[Task.IMAGE_SCENE].values()),
     )
 
 

@@ -239,7 +239,10 @@ class ScriptedHTTPServer:
         self.url = f"http://127.0.0.1:{self._http.server_address[1]}/v1/chat/completions"
 
     def __enter__(self) -> ScriptedHTTPServer:
-        threading.Thread(target=self._http.serve_forever, daemon=True).start()
+        # A short poll interval lets ``__exit__``'s shutdown return at once.
+        threading.Thread(
+            target=self._http.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        ).start()
         return self
 
     def __exit__(self, *exc_info) -> None:

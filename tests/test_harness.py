@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -176,6 +177,83 @@ class TestEvaluate:
         with pytest.raises(EvaluationError, match="i0"):
             evaluate(predictions, samples, TAX)
 
+    def test_gold_label_outside_the_taxonomy_rejected_naming_it(self):
+        samples = [intent_sample("i0", "ia", "text"), intent_sample("i1", "iz", "text")]
+        predictions = [predictor_prediction("i0", "ia"), predictor_prediction("i1", "ia")]
+        with pytest.raises(
+            EvaluationError, match="gold label 'iz' is not in the given label set"
+        ):
+            evaluate(predictions, samples, TAX)
+
+    def test_missing_prediction_wins_over_an_unknown_gold_label(self):
+        samples = [intent_sample("i0", "ia", "text"), intent_sample("i1", "iz", "text")]
+        predictions = [predictor_prediction("i0", "ia")]
+        with pytest.raises(EvaluationError, match="no prediction for sample id 'i1'"):
+            evaluate(predictions, samples, TAX)
+
+    def test_unknown_intent_gold_label_is_reported_before_an_image_scene_one(self):
+        # A scene label is outside the intent taxonomy, and vice versa.
+        samples = [scene_sample("s0", "ia", "ocr"), intent_sample("i0", "sa", "text")]
+        predictions = [predictor_prediction("s0", "sa"), predictor_prediction("i0", "ia")]
+        with pytest.raises(EvaluationError, match="gold label 'sa'"):
+            evaluate(predictions, samples, TAX)
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_matches_an_independent_recount_with_cross_task_predictions(self, data):
+        every_label = list(TAX.joint_labels()) + ["__abstain__"]
+        rows = []  # (task labels, gold, predicted)
+        for labels, n in (
+            (TAX.intent, data.draw(st.integers(min_value=0, max_value=15))),
+            (TAX.image_scene, data.draw(st.integers(min_value=0, max_value=15))),
+        ):
+            for _ in range(n):
+                gold = data.draw(st.sampled_from(labels))
+                rows.append((labels, gold, data.draw(st.sampled_from(every_label))))
+        if not rows:
+            rows.append((TAX.intent, "ia", data.draw(st.sampled_from(every_label))))
+        order = data.draw(st.permutations(range(len(rows))))
+        samples, predictions = [], []
+        for i in order:
+            labels, gold, pred = rows[i]
+            make = intent_sample if labels is TAX.intent else scene_sample
+            samples.append(make(f"x{i}", gold, "text"))
+            predictions.append(predictor_prediction(f"x{i}", pred))
+        report = evaluate(predictions, samples, TAX)
+
+        def task_score(labels):
+            gold = [g for task_labels, g, _ in rows if task_labels is labels]
+            pred = [p for task_labels, _, p in rows if task_labels is labels]
+            return brute_force_weighted_f1(gold, pred, labels) if gold else None
+
+        gold = [g for _, g, _ in rows]
+        pred = [p for _, _, p in rows]
+        dis, iss = task_score(TAX.intent), task_score(TAX.image_scene)
+        present = [score for score in (dis, iss) if score is not None]
+        for got, want in (
+            (report.dis, dis),
+            (report.iss, iss),
+            (report.oss, brute_force_weighted_f1(gold, pred, TAX.joint_labels())),
+            (report.oss_mean, sum(present) / len(present)),
+        ):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert abs(got - want) <= 1e-12
+        assert report.intent_count == sum(1 for labels, _, _ in rows if labels is TAX.intent)
+        assert report.image_scene_count == len(rows) - report.intent_count
+        assert [row.label for row in report.per_class] == list(TAX.joint_labels())
+        for row in report.per_class:
+            tp = sum(1 for g, p in zip(gold, pred) if g == p == row.label)
+            support = gold.count(row.label)
+            predicted = pred.count(row.label)
+            precision = tp / predicted if predicted else 0.0
+            recall = tp / support if support else 0.0
+            f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+            assert row.support == support
+            assert abs(row.precision - precision) <= 1e-12
+            assert abs(row.recall - recall) <= 1e-12
+            assert abs(row.f1 - f1) <= 1e-12
+
 
 class TestReportSerialization:
     def test_round_trip_through_file(self, tmp_path):
@@ -186,6 +264,31 @@ class TestReportSerialization:
         path = tmp_path / "report.json"
         save_report(report, path)
         assert load_report(path) == report_to_dict(report)
+
+    def test_report_bytes_are_frozen_with_cross_task_predictions(self):
+        from rulesmith.harness import report_to_dict
+
+        rows = [
+            ("i0", "ia", "ia"), ("i1", "ia", "sa"), ("i2", "ib", "ib"),
+            ("i3", "ib", "__abstain__"), ("i4", "ia", "ib"),
+            ("s0", "sa", "sa"), ("s1", "sa", "ib"), ("s2", "sb", "sb"), ("s3", "sb", "sa"),
+        ]
+        samples = [
+            (intent_sample if sample_id[0] == "i" else scene_sample)(sample_id, gold, "t")
+            for sample_id, gold, _ in rows
+        ]
+        predictions = [predictor_prediction(sample_id, pred) for sample_id, _, pred in rows]
+        report = evaluate(predictions, samples, TAX)
+        assert json.dumps(report_to_dict(report)) == (
+            '{"dis": 0.5, "iss": 0.5833333333333333, "oss": 0.4925925925925925, '
+            '"oss_mean": 0.5416666666666666, "counts": {"intent": 5, "image_scene": 4}, '
+            '"per_class": [{"label": "ia", "precision": 1.0, "recall": 0.3333333333333333, '
+            '"f1": 0.5, "support": 3}, {"label": "ib", "precision": 0.3333333333333333, '
+            '"recall": 0.5, "f1": 0.4, "support": 2}, {"label": "sa", '
+            '"precision": 0.3333333333333333, "recall": 0.5, "f1": 0.4, "support": 2}, '
+            '{"label": "sb", "precision": 1.0, "recall": 0.5, "f1": 0.6666666666666666, '
+            '"support": 2}]}'
+        )
 
     def test_format_report_handles_absent_scores(self):
         from rulesmith.harness import format_report, report_to_dict
