@@ -5,18 +5,19 @@ The predicate DSL and conjunction rules
 Predicates are atomic text conditions with exactly four fields and four
 operators; a rule is a conjunction of up to five of them implying a label.
 Matching runs on NFKC-normalized, case-folded text, so full-width and
-mixed-case variants all hit.
+mixed-case variants all hit. A ``SampleIndex`` evaluates predicates and
+rules over a whole collection at once: each match set is a bitset whose
+bit i stands for the i-th sample.
 """
 
 from rulesmith import (
     DialogueSample,
     Rule,
     RuleSource,
+    SampleIndex,
     Speaker,
     Task,
     Turn,
-    eval_predicate,
-    eval_rule,
     measure_rule,
     parse_predicate,
     render_predicate,
@@ -37,14 +38,14 @@ sample = DialogueSample(
     ocr_text="",
     gold_label="refund",
 )
-print(f"fires on the sample: {eval_predicate(predicate, sample)}")
+print(f"fires on the sample: {bool(SampleIndex([sample]).predicate_mask(predicate))}")
 
 # Normalization in action: full-width latin matches its ASCII value.
 wide = DialogueSample(
     id="wide", task=Task.IMAGE_SCENE, turns=(), ocr_text="ＯＲＤＥＲ ＮＯ. １２３４",
 )
-print("full-width OCR matches 'order no':",
-      eval_predicate(parse_predicate('ocr_text contains "order no"'), wide))
+order_no = parse_predicate('ocr_text contains "order no"')
+print("full-width OCR matches 'order no':", bool(SampleIndex([wide]).predicate_mask(order_no)))
 
 # A rule fires only when every predicate does.
 rule = Rule(
@@ -59,9 +60,9 @@ rule = Rule(
     confidence=0.8,
     source=RuleSource.MANUAL,
 )
-print(f"rule fires: {eval_rule(rule, sample)}")
 
-# Rule quality: coverage, correct count, and precision over labeled samples.
+# Index a small corpus once: the rule's bitset names the samples it fires
+# on, and its quality is coverage, correct count and precision over them.
 corpus = [sample] + [
     DialogueSample(
         id=f"other-{i}",
@@ -76,6 +77,9 @@ corpus = [sample] + [
         ("帮我退货并查询发货时间", "shipping"),  # mentions 发货, so the rule stays silent
     ])
 ]
-quality = measure_rule(rule, corpus)
+index = SampleIndex(corpus)
+mask = index.rule_mask(rule)
+print("rule fires on:", [s.id for i, s in enumerate(index) if mask >> i & 1])
+quality = measure_rule(rule, index)
 print(f"quality: coverage={quality.coverage} correct={quality.correct} "
       f"precision={quality.precision}")

@@ -44,7 +44,6 @@ from .inference import (
     StubPredictor,
     arbitrate,
     load_predictions,
-    match_rules,
     predict_batch,
     save_predictions,
 )
@@ -59,7 +58,6 @@ from .predicate import (
     RuleSource,
     SampleIndex,
     eval_predicate,
-    eval_rule,
     measure_rule,
     parse_predicate,
     render_predicate,
@@ -122,14 +120,12 @@ __all__ = [
     "arbitrate",
     "evaluate",
     "eval_predicate",
-    "eval_rule",
     "filter_by_reward",
     "generate_validation",
     "load_dataset",
     "load_predictions",
     "load_rulebase",
     "load_taxonomy",
-    "match_rules",
     "measure_rule",
     "online_validate",
     "parse_predicate",

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence, TypeVar
 
-from .dataset import DialogueSample, Task
+from .dataset import DialogueSample, Task, encodable
 from .errors import AgentError, AgentProtocolError, AgentUnavailableError, PredicateSyntaxError
 from .predicate import (
     Predicate,
@@ -537,6 +537,8 @@ class RemoteAgent:
             reply = content.strip()
             if not reply:
                 raise AgentProtocolError("rephrase reply is empty")
+            if not encodable(reply):
+                raise AgentProtocolError("rephrase reply holds a lone surrogate")
             return reply
 
         return structured_call(self._transport, messages, parse)

@@ -42,6 +42,7 @@ from .rulebase import (
     DEFAULT_MIN_PRECISION,
     DEFAULT_MIN_REWARD,
     DEFAULT_MIN_SUPPORT,
+    EPOCH_ISO,
     RuleBase,
     RuleBaseMetadata,
     check_labels,
@@ -52,8 +53,6 @@ from .rulebase import (
     remove_dominated,
     save_rulebase,
 )
-
-EPOCH_ISO = "1970-01-01T00:00:00+00:00"
 
 
 def _digest_file(path: str) -> str:

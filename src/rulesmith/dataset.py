@@ -110,6 +110,16 @@ class Rephraser(Protocol):
     def rephrase(self, text: str) -> str: ...
 
 
+def encodable(text: str) -> bool:
+    """False iff the text holds a lone surrogate, which UTF-8 cannot encode;
+    a JSON escape such as ``"\\ud800"`` decodes to one."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def read_json(path: str | Path, error: type[RulesmithError]) -> object:
     """Parse a whole UTF-8 JSON file; undecodable or invalid content raises ``error``."""
 
@@ -153,8 +163,10 @@ def load_taxonomy(path: str | Path) -> LabelTaxonomy:
     labels: dict[str, tuple[str, ...]] = {}
     for task in ("intent", "image_scene"):
         entries = raw.get(task)
-        if not isinstance(entries, list) or not all(isinstance(x, str) for x in entries):
-            raise DatasetError(f"taxonomy field {task!r} must be an array of strings")
+        if not isinstance(entries, list) or not all(
+            isinstance(x, str) and encodable(x) for x in entries
+        ):
+            raise DatasetError(f"taxonomy field {task!r} must list strings without lone surrogates")
         labels[task] = tuple(entries)
     return LabelTaxonomy(intent=labels["intent"], image_scene=labels["image_scene"])
 
@@ -177,8 +189,8 @@ def _parse_record(record: dict, line_no: int, taxonomy: LabelTaxonomy) -> Dialog
         return DatasetError(f"line {line_no}: field {field!r} {detail}")
 
     sample_id = record.get("id")
-    if not isinstance(sample_id, str) or not sample_id:
-        raise fail("id", "must be a non-empty string")
+    if not isinstance(sample_id, str) or not sample_id or not encodable(sample_id):
+        raise fail("id", "must be a non-empty string without lone surrogates")
     task_raw = record.get("task")
     try:
         task = Task(task_raw)
@@ -196,16 +208,16 @@ def _parse_record(record: dict, line_no: int, taxonomy: LabelTaxonomy) -> Dialog
             speaker = Speaker(turn["speaker"])
         except ValueError:
             raise fail("turns", f"entry {i} has unknown speaker {turn['speaker']!r}") from None
-        if not isinstance(turn["text"], str):
-            raise fail("turns", f"entry {i} text must be a string")
+        if not isinstance(turn["text"], str) or not encodable(turn["text"]):
+            raise fail("turns", f"entry {i} text must be a string without lone surrogates")
         turns.append(Turn(speaker=speaker, text=turn["text"]))
 
     ocr_text = record.get("ocr_text", "")
-    if not isinstance(ocr_text, str):
-        raise fail("ocr_text", "must be a string")
+    if not isinstance(ocr_text, str) or not encodable(ocr_text):
+        raise fail("ocr_text", "must be a string without lone surrogates")
     image_ref = record.get("image_ref")
-    if image_ref is not None and not isinstance(image_ref, str):
-        raise fail("image_ref", "must be a string or null")
+    if image_ref is not None and not (isinstance(image_ref, str) and encodable(image_ref)):
+        raise fail("image_ref", "must be null or a string without lone surrogates")
     gold_label = record.get("gold_label")
     if gold_label is not None:
         if not isinstance(gold_label, str):

@@ -153,11 +153,6 @@ def _fired_rules(rulebase: RuleBase, samples: Sequence[DialogueSample]) -> list[
     return fired
 
 
-def match_rules(rulebase: RuleBase, sample: DialogueSample) -> list[Rule]:
-    """All same-task rules firing on the sample, strongest first."""
-    return _fired_rules(rulebase, [sample])[0]
-
-
 def arbitrate(
     fired: Sequence[Rule],
     predictor_label: str | None,

@@ -49,7 +49,6 @@ class SearchNode:
     children: dict[Predicate, "SearchNode"] = field(default_factory=dict)
     untried: list[Predicate] = field(default_factory=list)
     fetched: bool = False
-    evaluation: RewardEstimate | None = None
     # Exhausted subtrees are skipped during selection; a node is exhausted
     # once nothing new can ever be evaluated at or below it.
     exhausted: bool = False
@@ -148,7 +147,6 @@ def run_search(
     scored: dict[frozenset[Predicate], RewardEstimate] = {}
     proposed: dict[frozenset[Predicate], list[Predicate]] = {}
     harvested: list[tuple[Rule, RewardEstimate]] = []
-    evaluations = 0
     iterations = 0
     best_reward = 0.0
     trace: IO[str] | None = None
@@ -204,7 +202,7 @@ def run_search(
 
             # Evaluation replaces rollout: the agent self-assesses the rule.
             rule = Rule(
-                id=f"mcts:{task.value}:{label}:{evaluations + 1:04d}",
+                id=f"mcts:{task.value}:{label}:{len(harvested) + 1:04d}",
                 task=task,
                 label=label,
                 predicates=child.state,
@@ -216,8 +214,6 @@ def run_search(
             if estimate is None:
                 estimate = agent.evaluate_rule(make_context(child.state), rule)
                 scored[child.state] = estimate
-            child.evaluation = estimate
-            evaluations += 1
             harvested.append(
                 (
                     replace(rule, reward=estimate.reward, confidence=estimate.confidence),
@@ -241,7 +237,7 @@ def run_search(
                 task.value,
                 label,
                 iteration,
-                evaluations,
+                len(harvested),
                 estimate.reward,
                 best_reward,
             )
@@ -251,7 +247,7 @@ def run_search(
                         {
                             "label": label,
                             "iteration": iteration,
-                            "evaluations": evaluations,
+                            "evaluations": len(harvested),
                             "depth": len(child.state),
                             "reward": estimate.reward,
                             "confidence": estimate.confidence,
@@ -279,6 +275,6 @@ def run_search(
         rules=harvested,
         root=root,
         iterations=iterations,
-        evaluations=evaluations,
+        evaluations=len(harvested),
         agent_evaluations=len(scored),
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
-from .dataset import DialogueSample, Speaker, Task
+from .dataset import DialogueSample, Speaker, Task, encodable
 from .errors import PredicateSyntaxError
 
 MAX_VALUE_LENGTH = 128
@@ -123,7 +123,7 @@ def render_predicate(p: Predicate) -> str:
 
 
 def _byte_offset(text: str, index: int) -> int:
-    return len(text[:index].encode("utf-8"))
+    return len(text[:index].encode("utf-8", "surrogatepass"))
 
 
 class _Scanner:
@@ -209,15 +209,15 @@ def parse_predicate(text: str) -> Predicate:
     value = scanner.read_quoted()
     scanner.expect_end()
     if not value:
-        raise PredicateSyntaxError(
-            "empty value", offset=_byte_offset(text, value_at), expected="a non-empty value"
-        )
+        raise scanner.error("empty value", "a non-empty value", at=value_at)
     if len(value) > MAX_VALUE_LENGTH:
-        raise PredicateSyntaxError(
+        raise scanner.error(
             f"value longer than {MAX_VALUE_LENGTH} characters",
-            offset=_byte_offset(text, value_at),
-            expected=f"at most {MAX_VALUE_LENGTH} characters",
+            f"at most {MAX_VALUE_LENGTH} characters",
+            at=value_at,
         )
+    if not encodable(value):
+        raise scanner.error("value holds a lone surrogate", "UTF-8 encodable text", at=value_at)
     return Predicate(field=_FIELDS[field_word], op=_OPS[op_word], value=value)
 
 
@@ -259,11 +259,6 @@ def _holds(op: PredicateOp, needle: str, haystack: str) -> bool:
 def eval_predicate(p: Predicate, sample: DialogueSample) -> bool:
     haystack = normalize_text(extract_field_text(sample, p.field))
     return _holds(p.op, normalize_text(p.value), haystack)
-
-
-def eval_rule(rule: Rule, sample: DialogueSample) -> bool:
-    """True iff every predicate holds. Callers filter on task beforehand."""
-    return all(eval_predicate(p, sample) for p in rule.predicates)
 
 
 # Joins a field's texts for the ``contains`` sweep. Any character would do:

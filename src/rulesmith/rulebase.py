@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import DialogueSample, LabelTaxonomy, Task, read_json
+from .dataset import DialogueSample, LabelTaxonomy, Task, encodable, read_json
 from .errors import PredicateSyntaxError, RuleBaseError
 from .predicate import (
     Predicate,
@@ -30,6 +30,8 @@ RULEBASE_VERSION = 1
 DEFAULT_MIN_REWARD = 0.8
 DEFAULT_MIN_PRECISION = 0.8
 DEFAULT_MIN_SUPPORT = 2
+# The creation time of a base that no clock stamped, e.g. under a fixed seed.
+EPOCH_ISO = "1970-01-01T00:00:00+00:00"
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class RuleBase:
     ) -> "RuleBase":
         """Construct a base from an arbitrary rule list, pruning as needed."""
         if metadata is None:
-            metadata = RuleBaseMetadata(created_at="1970-01-01T00:00:00+00:00")
+            metadata = RuleBaseMetadata(created_at=EPOCH_ISO)
         return cls(rules=tuple(remove_dominated(rules)), metadata=metadata)
 
 
@@ -204,15 +206,15 @@ def _rule_from_record(record: dict, index: int) -> Rule:
     if not isinstance(record, dict):
         raise RuleBaseError(f"rule entry {index}: must be an object")
     rule_id = record.get("id")
-    if not isinstance(rule_id, str) or not rule_id:
-        raise fail("id", "must be a non-empty string")
+    if not isinstance(rule_id, str) or not rule_id or not encodable(rule_id):
+        raise fail("id", "must be a non-empty string without lone surrogates")
     try:
         task = Task(record.get("task"))
     except ValueError:
         raise fail("task", f"has unknown value {record.get('task')!r}") from None
     label = record.get("label")
-    if not isinstance(label, str) or not label:
-        raise fail("label", "must be a non-empty string")
+    if not isinstance(label, str) or not label or not encodable(label):
+        raise fail("label", "must be a non-empty string without lone surrogates")
     raw_predicates = record.get("predicates")
     if not isinstance(raw_predicates, list) or not raw_predicates:
         raise fail("predicates", "must be a non-empty array")
@@ -275,8 +277,8 @@ def load_rulebase(path: str | Path) -> RuleBase:
     if not isinstance(metadata_raw, dict):
         raise RuleBaseError("field 'metadata' must be an object")
     for key in ("created_at", "dataset_digest", "config_digest"):
-        if not isinstance(metadata_raw.get(key), str):
-            raise RuleBaseError(f"metadata field {key!r} must be a string")
+        if not isinstance(metadata_raw.get(key), str) or not encodable(metadata_raw[key]):
+            raise RuleBaseError(f"metadata field {key!r} must be a string without lone surrogates")
     rules_raw = doc.get("rules")
     if not isinstance(rules_raw, list):
         raise RuleBaseError("field 'rules' must be an array")

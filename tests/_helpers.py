@@ -24,6 +24,7 @@ from rulesmith import (
     Speaker,
     Task,
     Turn,
+    eval_predicate,
 )
 
 BACKGROUND_VOCAB = [
@@ -252,6 +253,12 @@ class ScriptedHTTPServer:
 
 # --- independent oracles ------------------------------------------------------
 
+def eval_rule(rule: Rule, sample: DialogueSample) -> bool:
+    """True iff every predicate of the rule holds on the sample, one sample
+    at a time; the caller checks the task."""
+    return all(eval_predicate(p, sample) for p in rule.predicates)
+
+
 def brute_force_weighted_f1(gold, pred, labels) -> float:
     """Naive per-class recount via precision/recall, for cross-checking."""
 
@@ -336,7 +343,8 @@ def check_search_tree(root, max_predicates: int = 5) -> int:
             f"exhaustion flag wrong at depth {len(node.state)}: {node.exhausted}"
         )
         child_visits = sum(ch.visits for ch in node.children.values())
-        evaluated = 1 if node.evaluation is not None else 0
+        # Every node but the root was scored in the iteration that made it.
+        evaluated = 1 if node.parent is not None else 0
         assert node.visits == child_visits + evaluated, (
             f"visit accounting broken at depth {len(node.state)}: "
             f"{node.visits} != {child_visits} + {evaluated}"

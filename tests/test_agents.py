@@ -176,13 +176,15 @@ class TestRemoteAgent:
         return make_context(corpus, "L")
 
     def test_propose_parses_and_drops_bad_entries(self):
+        # The third entry decodes to a lone surrogate before its trailing garbage.
         transport = ScriptedTransport(
-            [fenced('{"predicates": ["any_text contains \\"退货\\"", "garbage!!"]}')]
+            [fenced('{"predicates": ["any_text contains \\"退货\\"", "garbage!!", '
+                    '"any_text contains \\"\\ud800\\" junk"]}')]
         )
         agent = RemoteAgent("http://example", transport=transport)
         proposals = agent.propose_predicates(self.make_ctx(), k=5)
         assert proposals == [contains("退货")]
-        assert agent.dropped_proposals == 1
+        assert agent.dropped_proposals == 2
 
     def test_out_of_range_reward_is_a_protocol_error_naming_the_field(self):
         reply = fenced('{"reward": 1.3, "confidence": 0.5, "rationale": "sure"}')
@@ -265,6 +267,13 @@ class TestRemoteAgent:
         agent = RemoteAgent("http://example", transport=transport)
         with pytest.raises(AgentProtocolError, match="empty"):
             agent.rephrase("我要退货")
+
+    def test_rephrase_reply_with_a_lone_surrogate_is_retried_with_the_error_echoed_back(self):
+        transport = ScriptedTransport(["请问\ud800退货", "请问如何退货？"])
+        agent = RemoteAgent("http://example", transport=transport)
+        assert agent.rephrase("我要退货") == "请问如何退货？"
+        assert len(transport.conversations) == 2
+        assert "lone surrogate" in transport.conversations[1][-1]["content"]
 
     def test_zero_valid_proposals_is_not_an_error(self):
         transport = ScriptedTransport([fenced('{"predicates": ["junk"]}')])

@@ -407,6 +407,42 @@ def test_undecodable_json_files_are_structured_errors(workspace, capsys, option,
     assert not (tmp / "v.jsonl").exists() and not (tmp / "f.json").exists()
 
 
+@pytest.mark.parametrize(
+    "option, old, new",
+    [("rephrase --train", '"text": "', '"text": "\\ud800'),
+     ("rephrase --labels", '"refund"', '"refund\\ud800"'),
+     ("filter --rules", "alpha", "alpha\\ud800"),
+     ("filter --rules", '"id": "r"', '"id": "r\\ud800"')],
+    ids=["turn-text", "taxonomy-label", "predicate-value", "rule-id"],
+)
+def test_lone_surrogates_in_input_files_are_structured_errors(workspace, capsys, option, old, new):
+    """A JSON escape such as "\\ud800" decodes to a lone surrogate, which no
+    UTF-8 output file can hold, so the loader refuses it."""
+    tmp, train, val, tax = workspace
+    rules = tmp / "rules.json"
+    base = RuleBase(rules=(make_rule("r", "refund", [contains("alpha")], 0.9),),
+                    metadata=RuleBaseMetadata(created_at="x"))
+    save_rulebase(base, rules)
+    command, flag = option.split()
+    path = {"--train": train, "--labels": tax, "--rules": rules}[flag]
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    out = tmp / "out"
+    argv = {
+        "rephrase": ["rephrase", "--train", train, "--labels", tax, "--seed", "1"],
+        "filter": ["filter", "--rules", rules],
+    }[command]
+    assert main([str(a) for a in argv + ["--out", out]]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = json.loads(err.strip().splitlines()[-1])
+    assert set(last) == {"error", "message"}
+    assert last["error"] == {"rephrase": "DatasetError", "filter": "RuleBaseError"}[command]
+    assert "surrogate" in last["message"]
+    assert not out.exists()
+
+
 def test_filter_keeps_the_boundary_reward(tmp_path, capsys):
     rules = [
         make_rule("below", "refund", [contains("alpha")], 0.79),

@@ -30,12 +30,12 @@ from rulesmith import (
     Task,
     Turn,
     eval_predicate,
-    eval_rule,
     measure_rule,
     predict_batch,
 )
 import rulesmith.predicate as predicate
 from rulesmith.agents import MAX_TOKEN_LENGTH, sample_tokens
+from _helpers import eval_rule
 
 WORDS = [
     "ab", "AB", "ａｂ", "Ab", "c", "Ｃ", "de", "fg", "hi", "jk", "退货", "退", "货物", "x1", "Ｘ１",

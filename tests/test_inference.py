@@ -20,11 +20,17 @@ from rulesmith import (
     Task,
     arbitrate,
     load_predictions,
-    match_rules,
     predict_batch,
     save_predictions,
 )
-from _helpers import build_planted_corpus, contains, intent_sample, make_rule, planted_token
+from _helpers import (
+    build_planted_corpus,
+    contains,
+    eval_rule,
+    intent_sample,
+    make_rule,
+    planted_token,
+)
 
 TAX = LabelTaxonomy(
     intent=("refund", "shipping", "invoice"), image_scene=("receipt", "tracking")
@@ -39,35 +45,48 @@ def base_of(*rules):
 EMPTY_BASE = base_of()
 
 
+def predict_one(base, sample):
+    """``predict_batch``'s prediction for one sample when any fired rule may
+    override the classifier."""
+    result = predict_batch(base, StubPredictor(TAX, accuracy=1.0), [sample], override_threshold=0.0)
+    return result.predictions[0]
+
+
 class TestMatchRules:
+    """Which fired rule answers: only the strongest reaches any output."""
+
     def test_empty_rule_base(self):
-        assert match_rules(EMPTY_BASE, intent_sample("s", "refund", "anything")) == []
+        prediction = predict_one(EMPTY_BASE, intent_sample("s", "refund", "anything"))
+        assert prediction.fired_rule_id is None
+        assert prediction.source is PredictionSource.PREDICTOR
+        assert prediction.label == "refund"
 
     def test_ordered_by_reward_descending(self):
         low = make_rule("low", "refund", [contains("x")], 0.85)
         high = make_rule("high", "shipping", [contains("x")], 0.9)
-        fired = match_rules(base_of(low, high), intent_sample("s", None, "x marks"))
-        assert [r.id for r in fired] == ["high", "low"]
+        prediction = predict_one(base_of(low, high), intent_sample("s", None, "x marks"))
+        assert prediction.fired_rule_id == "high"
 
     def test_equal_rewards_break_ties_by_specificity(self):
         small = make_rule("small", "refund", [contains("x"), contains("y")], 0.9)
         big = make_rule(
             "big", "shipping", [contains("x"), contains("y"), contains("z")], 0.9
         )
-        fired = match_rules(base_of(small, big), intent_sample("s", None, "x y z"))
-        assert [r.id for r in fired] == ["big", "small"]
+        prediction = predict_one(base_of(small, big), intent_sample("s", None, "x y z"))
+        assert prediction.fired_rule_id == "big"
 
     def test_equal_everything_breaks_ties_by_id(self):
         a = make_rule("aaa", "refund", [contains("x")], 0.9)
         b = make_rule("bbb", "shipping", [contains("x")], 0.9)
-        fired = match_rules(base_of(b, a), intent_sample("s", None, "x"))
-        assert [r.id for r in fired] == ["aaa", "bbb"]
+        prediction = predict_one(base_of(b, a), intent_sample("s", None, "x"))
+        assert prediction.fired_rule_id == "aaa"
 
     def test_other_task_rules_never_fire(self):
         scene_rule = make_rule(
             "sc", "receipt", [contains("x")], 0.9, task=Task.IMAGE_SCENE
         )
-        assert match_rules(base_of(scene_rule), intent_sample("s", None, "x")) == []
+        prediction = predict_one(base_of(scene_rule), intent_sample("s", None, "x"))
+        assert prediction.fired_rule_id is None
 
 
 class TestArbitrate:
@@ -153,8 +172,6 @@ class TestPredictBatch:
         assert all(p.source is PredictionSource.PREDICTOR for p in result.predictions)
 
     def test_always_firing_full_reward_rule_overrides_everything(self):
-        from rulesmith import eval_rule
-
         corpus = self.corpus()
         rule = make_rule("all", "refund", [contains("e")], 1.0)
         assert all(eval_rule(rule, s) for s in corpus)  # really fires everywhere

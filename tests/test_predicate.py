@@ -15,8 +15,8 @@ from rulesmith import (
     PredicateSyntaxError,
     RuleQuality,
     RuleSource,
+    SampleIndex,
     eval_predicate,
-    eval_rule,
     measure_rule,
     parse_predicate,
     render_predicate,
@@ -69,6 +69,31 @@ class TestParse:
             parse_predicate(f'ocr_text contains "{long_value}"')
         with pytest.raises(ValueError):
             Predicate(PredicateField.OCR_TEXT, PredicateOp.CONTAINS, long_value)
+
+    def test_lone_surrogate_value_rejected(self):
+        with pytest.raises(PredicateSyntaxError, match="lone surrogate"):
+            parse_predicate('any_text contains "a\ud800"')
+
+    def test_offsets_count_a_lone_surrogate_as_three_bytes(self):
+        with pytest.raises(PredicateSyntaxError, match="trailing") as exc_info:
+            parse_predicate('any_text contains "\ud800" junk')
+        assert exc_info.value.offset == len('any_text contains "'.encode()) + 3 + 2
+
+    @given(
+        head=st.sampled_from(["", 'any_text contains "', 'ocr_text ends_with "', "any_text "]),
+        body=st.text(
+            st.sampled_from(["\ud800", "\udfff", "a", "退", " "]) | st.characters(exclude_categories=()),
+            max_size=12,
+        ),
+        tail=st.sampled_from(["", '"', '" junk', '\\']),
+    )
+    @settings(max_examples=300)
+    def test_any_text_parses_or_raises_a_syntax_error(self, head, body, tail):
+        try:
+            p = parse_predicate(head + body + tail)
+        except PredicateSyntaxError:
+            return
+        p.value.encode("utf-8")  # whatever parses can be written out
 
     def test_escapes_round_trip(self):
         p = Predicate(PredicateField.ANY_TEXT, PredicateOp.CONTAINS, 'a"b\\c')
@@ -135,6 +160,12 @@ class TestEvalPredicate:
         assert eval_predicate(no, s) == (not eval_predicate(yes, s))
 
 
+def fired_ids(rule, corpus) -> set[str]:
+    """The ids of the samples on which the rule fires, from its index bitset."""
+    mask = SampleIndex(corpus).rule_mask(rule)
+    return {s.id for i, s in enumerate(corpus) if mask >> i & 1}
+
+
 class TestEvalRule:
     corpus = [
         intent_sample(f"s{i}", "refund", text)
@@ -145,18 +176,18 @@ class TestEvalRule:
 
     def test_conjunction_of_trues(self):
         rule = make_rule("r", "refund", [contains("alpha"), contains("beta")], 0.9)
-        assert eval_rule(rule, intent_sample("x", "refund", "alpha beta")) is True
+        assert fired_ids(rule, [intent_sample("x", "refund", "alpha beta")]) == {"x"}
 
     def test_single_false_kills_conjunction(self):
         rule = make_rule(
             "r", "refund", [contains("alpha"), contains("beta"), contains("zeta")], 0.9
         )
-        assert eval_rule(rule, intent_sample("x", "refund", "alpha beta")) is False
+        assert fired_ids(rule, [intent_sample("x", "refund", "alpha beta")]) == set()
 
     def test_rule_matches_intersection_of_predicate_match_sets(self):
         preds = [contains("alpha"), contains("beta")]
         rule = make_rule("r", "refund", preds, 0.9)
-        fired = {s.id for s in self.corpus if eval_rule(rule, s)}
+        fired = fired_ids(rule, self.corpus)
         per_predicate = [
             {s.id for s in self.corpus if eval_predicate(p, s)} for p in preds
         ]
@@ -170,8 +201,8 @@ class TestEvalRule:
             extra = contains(rng.choice(vocabulary))
             base = make_rule("base", "refund", base_preds, 0.5)
             extended = make_rule("ext", "refund", base_preds | {extra}, 0.5)
-            base_match = {s.id for s in self.corpus if eval_rule(base, s)}
-            ext_match = {s.id for s in self.corpus if eval_rule(extended, s)}
+            base_match = fired_ids(base, self.corpus)
+            ext_match = fired_ids(extended, self.corpus)
             assert ext_match <= base_match
 
 
