@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence, TypeVar
 
-from .dataset import DialogueSample, Task, encodable
+from .dataset import DialogueSample, Task, encodable, is_number
 from .errors import AgentError, AgentProtocolError, AgentUnavailableError, PredicateSyntaxError
 from .predicate import (
     Predicate,
@@ -249,7 +249,7 @@ def extract_fenced_json(content: str) -> dict:
 
 def _checked_ratio(payload: dict, field_name: str) -> float:
     value = payload.get(field_name)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not is_number(value):
         raise AgentProtocolError(f"field {field_name!r} must be a number, got {value!r}")
     if not 0.0 <= float(value) <= 1.0:
         raise AgentProtocolError(f"field {field_name!r} out of range [0, 1]: {value!r}")
@@ -367,24 +367,24 @@ def http_chat_transport(
     return send
 
 
-def structured_call(
-    send: Transport,
-    messages: list[dict[str, str]],
-    parse: Callable[[str], T],
-) -> T:
-    """Send a conversation until ``parse`` accepts the reply, at most ``RETRIES`` times.
+def structured_call(send: Transport, system: str, user: str, parse: Callable[[str], T]) -> T:
+    """Send a system and a user message until ``parse`` accepts the reply,
+    at most ``RETRIES`` times.
 
-    A reply that ``parse`` rejects with ``AgentProtocolError`` is retried
-    with the parse error echoed back to the model; a transport failure is
-    retried as-is. A transport failure is any ``OSError``: socket errors,
-    timeouts, and what ``http_chat_transport`` raises for HTTP error
-    statuses, broken responses and undecodable bodies. Once the budget is spent the last error
-    is raised: ``AgentProtocolError`` for an invalid reply,
+    This is the one place that builds a chat conversation, for the agent
+    and the classifier alike: the system message, then the user message. A
+    reply that ``parse`` rejects with ``AgentProtocolError`` is retried with
+    that reply appended as an assistant turn and the parse error as a user
+    turn; a transport failure is retried with the conversation unchanged. A
+    transport failure is any ``OSError``: socket errors, timeouts, and what
+    ``http_chat_transport`` raises for HTTP error statuses, broken responses
+    and undecodable bodies. Once the budget is spent the last error is
+    raised: ``AgentProtocolError`` for an invalid reply,
     ``AgentUnavailableError`` for a transport failure.
     """
 
     last_error: AgentError  # RETRIES >= 1, so the loop always sets it
-    conversation = list(messages)
+    conversation = [{"role": "system", "content": system}, {"role": "user", "content": user}]
     for attempt in range(1, RETRIES + 1):
         try:
             content = send(conversation)
@@ -439,28 +439,20 @@ class RemoteAgent:
         if k < 1:
             raise ValueError("k must be >= 1")
         current = ", ".join(sorted(render_predicate(p) for p in ctx.current)) or "(none)"
-        messages = [
-            {
-                "role": "system",
-                "content": (
-                    "You grow keyword rules for labeling e-commerce dialogues. "
-                    "A predicate has the form: <field> <op> \"<value>\" where field is "
-                    "one of user_text, service_text, ocr_text, any_text and op is one "
-                    "of contains, not_contains, starts_with, ends_with. Reply with "
-                    'exactly one fenced JSON block: {"predicates": ["...", ...]}'
-                ),
-            },
-            {
-                "role": "user",
-                "content": (
-                    f"Target label: {ctx.label} (task: {ctx.task.value})\n"
-                    f"Current rule predicates: {current}\n"
-                    f"Labeled examples:\n{_format_samples(ctx.exemplars)}\n"
-                    f"Validation examples:\n{_format_samples(ctx.validation)}\n"
-                    f"Propose up to {k} new predicates that separate this label."
-                ),
-            },
-        ]
+        system = (
+            "You grow keyword rules for labeling e-commerce dialogues. "
+            "A predicate has the form: <field> <op> \"<value>\" where field is "
+            "one of user_text, service_text, ocr_text, any_text and op is one "
+            "of contains, not_contains, starts_with, ends_with. Reply with "
+            'exactly one fenced JSON block: {"predicates": ["...", ...]}'
+        )
+        user = (
+            f"Target label: {ctx.label} (task: {ctx.task.value})\n"
+            f"Current rule predicates: {current}\n"
+            f"Labeled examples:\n{_format_samples(ctx.exemplars)}\n"
+            f"Validation examples:\n{_format_samples(ctx.validation)}\n"
+            f"Propose up to {k} new predicates that separate this label."
+        )
 
         def parse(content: str) -> list[str]:
             payload = extract_fenced_json(content)
@@ -469,7 +461,7 @@ class RemoteAgent:
                 raise AgentProtocolError('field "predicates" must be an array of strings')
             return raw
 
-        raw_predicates = structured_call(self._transport, messages, parse)
+        raw_predicates = structured_call(self._transport, system, user, parse)
         taken = set(ctx.current)
         proposals: list[Predicate] = []
         for text in raw_predicates:
@@ -489,26 +481,18 @@ class RemoteAgent:
 
     def evaluate_rule(self, ctx: AgentContext, rule: Rule) -> RewardEstimate:
         predicates = " AND ".join(render_predicate(p) for p in rule.sorted_predicates())
-        messages = [
-            {
-                "role": "system",
-                "content": (
-                    "You judge keyword rules for labeling e-commerce dialogues. "
-                    "Estimate how accurate the rule is on the validation examples. "
-                    "Reply with exactly one fenced JSON block: "
-                    '{"reward": number, "confidence": number, "rationale": string} '
-                    "with reward and confidence in [0, 1]."
-                ),
-            },
-            {
-                "role": "user",
-                "content": (
-                    f"Rule: IF {predicates} THEN label = {rule.label} "
-                    f"(task: {rule.task.value})\n"
-                    f"Validation examples:\n{_format_samples(ctx.validation)}"
-                ),
-            },
-        ]
+        system = (
+            "You judge keyword rules for labeling e-commerce dialogues. "
+            "Estimate how accurate the rule is on the validation examples. "
+            "Reply with exactly one fenced JSON block: "
+            '{"reward": number, "confidence": number, "rationale": string} '
+            "with reward and confidence in [0, 1]."
+        )
+        user = (
+            f"Rule: IF {predicates} THEN label = {rule.label} "
+            f"(task: {rule.task.value})\n"
+            f"Validation examples:\n{_format_samples(ctx.validation)}"
+        )
 
         def parse(content: str) -> RewardEstimate:
             payload = extract_fenced_json(content)
@@ -519,19 +503,13 @@ class RemoteAgent:
                 raise AgentProtocolError('field "rationale" must be a string')
             return RewardEstimate(reward=reward, confidence=confidence, rationale=rationale)
 
-        return structured_call(self._transport, messages, parse)
+        return structured_call(self._transport, system, user, parse)
 
     def rephrase(self, text: str) -> str:
-        messages = [
-            {
-                "role": "system",
-                "content": (
-                    "Reword the user's message, preserving its meaning, language, "
-                    "and intent. Reply with the reworded text only."
-                ),
-            },
-            {"role": "user", "content": text},
-        ]
+        system = (
+            "Reword the user's message, preserving its meaning, language, "
+            "and intent. Reply with the reworded text only."
+        )
 
         def parse(content: str) -> str:
             reply = content.strip()
@@ -541,4 +519,4 @@ class RemoteAgent:
                 raise AgentProtocolError("rephrase reply holds a lone surrogate")
             return reply
 
-        return structured_call(self._transport, messages, parse)
+        return structured_call(self._transport, system, text, parse)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence
@@ -116,6 +115,18 @@ def encodable(text: str) -> bool:
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
+        return False
+    return True
+
+
+def is_number(value: object) -> bool:
+    """A JSON number that converts to a float: not a bool, not an integer
+    past float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
         return False
     return True
 
@@ -280,8 +291,6 @@ def generate_validation(
     train: Sequence[DialogueSample],
     rephraser: Rephraser,
     per_sample: int = 1,
-    *,
-    max_workers: int = 1,
 ) -> list[DialogueSample]:
     """Produce rephrased copies of the training samples for validation.
 
@@ -311,12 +320,7 @@ def generate_validation(
             gold_label=source.gold_label,
         )
 
-    jobs = [(sample, i) for sample in train for i in range(per_sample)]
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            copies = list(pool.map(lambda job: make_copy(*job), jobs))
-    else:
-        copies = [make_copy(sample, i) for sample, i in jobs]
+    copies = [make_copy(sample, i) for sample in train for i in range(per_sample)]
     return sorted(copies, key=lambda s: s.id)
 
 

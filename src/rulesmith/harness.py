@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import DialogueSample, LabelTaxonomy, Task, read_json
+from .dataset import DialogueSample, LabelTaxonomy, Task, encodable, is_number, read_json
 from .errors import EvaluationError
 from .inference import Prediction
 
@@ -182,17 +182,6 @@ def save_report(report: EvalReport, path: str | Path) -> None:
     )
 
 
-def _is_number(value: object) -> bool:
-    """A JSON number that renders as a float: not a bool, not past float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        float(value)
-    except OverflowError:
-        return False
-    return True
-
-
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -207,10 +196,10 @@ def load_report(path: str | Path) -> dict:
     def malformed(detail: str) -> EvaluationError:
         return EvaluationError(f"{path} is a malformed report: {detail}")
 
-    if not _is_number(doc["oss"]):
+    if not is_number(doc["oss"]):
         raise malformed('"oss" must be a number')
     for key in ("dis", "iss", "oss_mean"):
-        if doc.get(key) is not None and not _is_number(doc[key]):
+        if doc.get(key) is not None and not is_number(doc[key]):
             raise malformed(f'"{key}" must be a number or null')
     counts = doc.get("counts", {})
     if not isinstance(counts, dict) or not all(_is_int(v) for v in counts.values()):
@@ -222,12 +211,13 @@ def load_report(path: str | Path) -> dict:
         if not (
             isinstance(row, dict)
             and isinstance(row.get("label"), str)
-            and all(_is_number(row.get(key)) for key in ("precision", "recall", "f1"))
+            and encodable(row["label"])
+            and all(is_number(row.get(key)) for key in ("precision", "recall", "f1"))
             and _is_int(row.get("support"))
         ):
             raise malformed(
-                f'"per_class" entry {i} must hold a string "label", numbers '
-                f'"precision", "recall" and "f1", and an integer "support"'
+                f'"per_class" entry {i} must hold a string "label" without lone surrogates, '
+                f'numbers "precision", "recall" and "f1", and an integer "support"'
             )
     return doc
 

@@ -98,22 +98,14 @@ class RemotePredictor:
         labels = self.taxonomy.labels_for(sample.task)
         record = sample_to_record(sample)
         record.pop("gold_label", None)
-        messages = [
-            {
-                "role": "system",
-                "content": (
-                    "Classify the sample into exactly one of the allowed labels. "
-                    'Reply with exactly one fenced JSON block: {"label": "..."}'
-                ),
-            },
-            {
-                "role": "user",
-                "content": (
-                    f"Allowed labels: {', '.join(labels)}\n"
-                    f"Sample: {json.dumps(record, ensure_ascii=False)}"
-                ),
-            },
-        ]
+        system = (
+            "Classify the sample into exactly one of the allowed labels. "
+            'Reply with exactly one fenced JSON block: {"label": "..."}'
+        )
+        user = (
+            f"Allowed labels: {', '.join(labels)}\n"
+            f"Sample: {json.dumps(record, ensure_ascii=False)}"
+        )
 
         def parse(content: str) -> str:
             label = extract_fenced_json(content).get("label")
@@ -126,7 +118,7 @@ class RemotePredictor:
             return label
 
         try:
-            return structured_call(self._transport, messages, parse)
+            return structured_call(self._transport, system, user, parse)
         except AgentError as exc:
             raise PredictorError(
                 f"predictor failed for sample {sample.id!r}: {exc}"

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import DialogueSample, LabelTaxonomy, Task, encodable, read_json
+from .dataset import DialogueSample, LabelTaxonomy, Task, encodable, is_number, read_json
 from .errors import PredicateSyntaxError, RuleBaseError
 from .predicate import (
     Predicate,
@@ -225,10 +225,10 @@ def _rule_from_record(record: dict, index: int) -> Rule:
     except PredicateSyntaxError as exc:
         raise fail("predicates", f"contains an invalid predicate: {exc}") from None
     reward = record.get("reward")
-    if not isinstance(reward, (int, float)) or isinstance(reward, bool):
+    if not is_number(reward):
         raise fail("reward", "must be a number")
     confidence = record.get("confidence")
-    if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
+    if not is_number(confidence):
         raise fail("confidence", "must be a number")
     try:
         source = RuleSource(record.get("source"))
@@ -244,7 +244,7 @@ def _rule_from_record(record: dict, index: int) -> Rule:
             confidence=float(confidence),
             source=source,
         )
-    except (ValueError, OverflowError) as exc:  # OverflowError: an integer past float range
+    except ValueError as exc:
         raise RuleBaseError(f"rule entry {index}: {exc}") from None
 
 

@@ -172,6 +172,21 @@ def run_python(code: str, *args: str) -> str:
     return done.stdout
 
 
+class ScriptedTransport:
+    """Canned replies; records every conversation it is sent."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.conversations = []
+
+    def __call__(self, messages):
+        self.conversations.append(messages)
+        reply = self.replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+
 def chat_body(content: str) -> str:
     """A chat-completions response body whose first choice says ``content``."""
     return json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]})

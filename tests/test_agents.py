@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 
@@ -11,6 +12,7 @@ from rulesmith import (
     AgentProtocolError,
     AgentUnavailableError,
     MockAgent,
+    PredicateField,
     RemoteAgent,
     RewardEstimate,
     Task,
@@ -19,7 +21,7 @@ from rulesmith import (
     render_predicate,
 )
 from rulesmith.agents import sample_tokens, tokenize
-from _helpers import contains, intent_sample, make_rule
+from _helpers import ScriptedTransport, contains, intent_sample, make_rule
 
 
 def make_context(corpus, label, current=()):
@@ -151,21 +153,6 @@ class TestMockEvaluate:
         assert agent.rephrase("") == ""
 
 
-class ScriptedTransport:
-    """Canned replies; records every conversation it is sent."""
-
-    def __init__(self, replies):
-        self.replies = list(replies)
-        self.conversations = []
-
-    def __call__(self, messages):
-        self.conversations.append(messages)
-        reply = self.replies.pop(0)
-        if isinstance(reply, Exception):
-            raise reply
-        return reply
-
-
 def fenced(payload: str) -> str:
     return f"Here you go:\n```json\n{payload}\n```\n"
 
@@ -187,12 +174,17 @@ class TestRemoteAgent:
         assert agent.dropped_proposals == 2
 
     def test_out_of_range_reward_is_a_protocol_error_naming_the_field(self):
-        reply = fenced('{"reward": 1.3, "confidence": 0.5, "rationale": "sure"}')
-        transport = ScriptedTransport([reply, reply, reply])
-        agent = RemoteAgent("http://example", transport=transport)
         rule = make_rule("r", "L", [contains("退货")], 0.0, confidence=0.0)
-        with pytest.raises(AgentProtocolError, match="reward"):
-            agent.evaluate_rule(self.make_ctx(), rule)
+        # 10**400 is an integer past float range.
+        for field_name, value in [("reward", 1.3), ("reward", 10**400), ("confidence", 10**400)]:
+            payload = {"reward": 0.5, "confidence": 0.5, "rationale": "sure", field_name: value}
+            reply = fenced(json.dumps(payload))
+            transport = ScriptedTransport([reply, reply, reply])
+            agent = RemoteAgent("http://example", transport=transport)
+            with pytest.raises(AgentProtocolError, match=f"field '{field_name}'"):
+                agent.evaluate_rule(self.make_ctx(), rule)
+            assert len(transport.conversations) == 3
+            assert f"field '{field_name}'" in transport.conversations[-1][-1]["content"]
 
     def test_invalid_payload_is_retried_with_the_error_echoed_back(self):
         transport = ScriptedTransport(
@@ -279,6 +271,87 @@ class TestRemoteAgent:
         transport = ScriptedTransport([fenced('{"predicates": ["junk"]}')])
         agent = RemoteAgent("http://example", transport=transport)
         assert agent.propose_predicates(self.make_ctx(), k=3) == []
+
+    def test_each_call_sends_its_pinned_first_conversation(self):
+        sample = intent_sample("a", "L", "我要退货", ocr_text="订单")
+        ctx = AgentContext(
+            task=Task.INTENT,
+            label="L",
+            exemplars=(sample,),
+            validation=(sample, intent_sample("b", "M", "when ship?")),
+            current=frozenset([contains("退货")]),
+        )
+        rule = make_rule(
+            "r", "L", [contains("退货"), contains("ship", PredicateField.USER_TEXT)], 0.0,
+            confidence=0.0,
+        )
+        transport = ScriptedTransport(
+            [fenced('{"predicates": []}'), fenced('{"reward": 0.5, "confidence": 0.5}'), "退款"]
+        )
+        agent = RemoteAgent("http://example", transport=transport)
+        agent.propose_predicates(ctx, k=3)
+        agent.evaluate_rule(ctx, rule)
+        agent.rephrase("我要退货")
+        validation = (
+            "Validation examples:\n"
+            "- [L] user: 我要退货 / service_rep: ok | ocr: 订单\n"
+            "- [M] user: when ship? / service_rep: ok | ocr: "
+        )
+        assert transport.conversations == [
+            [
+                {
+                    "role": "system",
+                    "content": (
+                        "You grow keyword rules for labeling e-commerce dialogues. "
+                        'A predicate has the form: <field> <op> "<value>" where field is '
+                        "one of user_text, service_text, ocr_text, any_text and op is one "
+                        "of contains, not_contains, starts_with, ends_with. Reply with "
+                        'exactly one fenced JSON block: {"predicates": ["...", ...]}'
+                    ),
+                },
+                {
+                    "role": "user",
+                    "content": (
+                        "Target label: L (task: intent)\n"
+                        'Current rule predicates: any_text contains "退货"\n'
+                        "Labeled examples:\n"
+                        "- [L] user: 我要退货 / service_rep: ok | ocr: 订单\n"
+                        f"{validation}\n"
+                        "Propose up to 3 new predicates that separate this label."
+                    ),
+                },
+            ],
+            [
+                {
+                    "role": "system",
+                    "content": (
+                        "You judge keyword rules for labeling e-commerce dialogues. "
+                        "Estimate how accurate the rule is on the validation examples. "
+                        "Reply with exactly one fenced JSON block: "
+                        '{"reward": number, "confidence": number, "rationale": string} '
+                        "with reward and confidence in [0, 1]."
+                    ),
+                },
+                {
+                    "role": "user",
+                    "content": (
+                        'Rule: IF any_text contains "退货" AND user_text contains "ship" '
+                        "THEN label = L (task: intent)\n"
+                        f"{validation}"
+                    ),
+                },
+            ],
+            [
+                {
+                    "role": "system",
+                    "content": (
+                        "Reword the user's message, preserving its meaning, language, "
+                        "and intent. Reply with the reworded text only."
+                    ),
+                },
+                {"role": "user", "content": "我要退货"},
+            ],
+        ]
 
     def test_prompts_list_eight_samples_per_section(self):
         corpus = [intent_sample(f"s{i}", "L", f"退货 {i}") for i in range(20)]

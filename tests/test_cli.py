@@ -28,6 +28,7 @@ from _helpers import (
     ScriptedHTTPServer,
     build_planted_corpus,
     build_two_task_corpus,
+    chat_body,
     contains,
     make_rule,
     run_python,
@@ -289,14 +290,17 @@ def test_malformed_endpoint_url_is_refused_before_any_request(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["rephrase", "induce"])
-def test_agent_that_gives_up_ends_the_stage_with_no_output(
-    workspace, capsys, monkeypatch, command
-):
-    tmp, train, val, tax = workspace
+@pytest.fixture
+def no_proxy(monkeypatch):
+    """Requests to the loopback endpoint go direct, whatever the environment says."""
     for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY"):
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.lower(), raising=False)
+
+
+@pytest.mark.parametrize("command", ["rephrase", "induce"])
+def test_agent_that_gives_up_ends_the_stage_with_no_output(workspace, capsys, no_proxy, command):
+    tmp, train, val, tax = workspace
     out = tmp / "out"
     argv = {
         "rephrase": ["rephrase", "--train", train, "--labels", tax],
@@ -312,6 +316,27 @@ def test_agent_that_gives_up_ends_the_stage_with_no_output(
     last = json.loads(err.strip().splitlines()[-1])
     assert last["error"] == "AgentUnavailableError"
     assert "transport failure" in last["message"]
+    assert not out.exists()
+
+
+def test_agent_reward_past_float_range_is_a_protocol_error(workspace, capsys, no_proxy):
+    tmp, train, val, tax = workspace
+    out = tmp / "out"
+    # One reply serves both calls: a proposal reads "predicates", a judgement "reward".
+    payload = {"predicates": ['any_text contains "plantedrefund"'], "reward": 10**400,
+               "confidence": 0.5}
+    reply = chat_body(f"```json\n{json.dumps(payload)}\n```")
+    with ScriptedHTTPServer(lambda body: (200, reply)) as server:
+        status = main([str(a) for a in ["induce", "--train", train, "--val", val, "--labels",
+                                        tax, "--agent", server.url, "--out", out]])
+    assert status == 1
+    # The proposal, then the judgement's three attempts.
+    assert len(server.requests) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = json.loads(err.strip().splitlines()[-1])
+    assert last["error"] == "AgentProtocolError"
+    assert "field 'reward'" in last["message"]
     assert not out.exists()
 
 
@@ -412,8 +437,9 @@ def test_undecodable_json_files_are_structured_errors(workspace, capsys, option,
     [("rephrase --train", '"text": "', '"text": "\\ud800'),
      ("rephrase --labels", '"refund"', '"refund\\ud800"'),
      ("filter --rules", "alpha", "alpha\\ud800"),
-     ("filter --rules", '"id": "r"', '"id": "r\\ud800"')],
-    ids=["turn-text", "taxonomy-label", "predicate-value", "rule-id"],
+     ("filter --rules", '"id": "r"', '"id": "r\\ud800"'),
+     ("report --report", '"label": "refund"', '"label": "refund\\ud800"')],
+    ids=["turn-text", "taxonomy-label", "predicate-value", "rule-id", "report-label"],
 )
 def test_lone_surrogates_in_input_files_are_structured_errors(workspace, capsys, option, old, new):
     """A JSON escape such as "\\ud800" decodes to a lone surrogate, which no
@@ -423,22 +449,28 @@ def test_lone_surrogates_in_input_files_are_structured_errors(workspace, capsys,
     base = RuleBase(rules=(make_rule("r", "refund", [contains("alpha")], 0.9),),
                     metadata=RuleBaseMetadata(created_at="x"))
     save_rulebase(base, rules)
+    report = tmp / "report.json"
+    row = {"label": "refund", "precision": 1.0, "recall": 1.0, "f1": 1.0, "support": 1}
+    report.write_text(json.dumps({"oss": 1.0, "per_class": [row]}), encoding="utf-8")
     command, flag = option.split()
-    path = {"--train": train, "--labels": tax, "--rules": rules}[flag]
+    path = {"--train": train, "--labels": tax, "--rules": rules, "--report": report}[flag]
     text = path.read_text(encoding="utf-8")
     assert old in text
     path.write_text(text.replace(old, new, 1), encoding="utf-8")
     out = tmp / "out"
     argv = {
-        "rephrase": ["rephrase", "--train", train, "--labels", tax, "--seed", "1"],
-        "filter": ["filter", "--rules", rules],
+        "rephrase": ["rephrase", "--train", train, "--labels", tax, "--seed", "1", "--out", out],
+        "filter": ["filter", "--rules", rules, "--out", out],
+        "report": ["report", "--report", report],
     }[command]
-    assert main([str(a) for a in argv + ["--out", out]]) == 1
+    assert main([str(a) for a in argv]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     last = json.loads(err.strip().splitlines()[-1])
     assert set(last) == {"error", "message"}
-    assert last["error"] == {"rephrase": "DatasetError", "filter": "RuleBaseError"}[command]
+    assert last["error"] == {
+        "rephrase": "DatasetError", "filter": "RuleBaseError", "report": "EvaluationError"
+    }[command]
     assert "surrogate" in last["message"]
     assert not out.exists()
 

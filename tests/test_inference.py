@@ -24,6 +24,7 @@ from rulesmith import (
     save_predictions,
 )
 from _helpers import (
+    ScriptedTransport,
     build_planted_corpus,
     contains,
     eval_rule,
@@ -304,6 +305,32 @@ class TestRemotePredictor:
         assert predictor.predict(intent_sample("s", None, "x")) == "refund"
         assert len(conversations) == 2
         assert conversations[1][:2] == conversations[0]
+
+    def test_first_request_is_pinned(self):
+        transport = ScriptedTransport(['```json\n{"label": "refund"}\n```'])
+        predictor = RemotePredictor("http://example", TAX, transport=transport)
+        predictor.predict(intent_sample("s", "refund", "我要退货", ocr_text="订单"))
+        assert transport.conversations == [
+            [
+                {
+                    "role": "system",
+                    "content": (
+                        "Classify the sample into exactly one of the allowed labels. "
+                        'Reply with exactly one fenced JSON block: {"label": "..."}'
+                    ),
+                },
+                {
+                    "role": "user",
+                    "content": (
+                        "Allowed labels: refund, shipping, invoice\n"
+                        'Sample: {"id": "s", "task": "intent", "turns": '
+                        '[{"speaker": "user", "text": "我要退货"}, '
+                        '{"speaker": "service_rep", "text": "ok"}], '
+                        '"ocr_text": "订单", "image_ref": null}'
+                    ),
+                },
+            ]
+        ]
 
     def test_transport_failure_becomes_a_predictor_error(self):
         def transport(messages):
