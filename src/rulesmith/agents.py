@@ -271,7 +271,8 @@ def http_chat_transport(
     Each thread keeps one kept-alive connection, replaced after any failure
     and, before reuse, once the peer has closed it. A status outside 2xx
     (redirects included), a broken HTTP exchange or a body that is not JSON
-    raises an ``OSError``, which ``structured_call`` retries. The HTTP
+    raises an ``OSError``, which ``structured_call`` retries. The returned
+    callable's ``close`` closes every thread's connection. The HTTP
     modules are imported here rather than at module level, so that runs
     with the mock agent and the stub predictor never load them.
     """
@@ -314,6 +315,9 @@ def http_chat_transport(
             target = f"http://{url.netloc}{target}"
         host, port = via.hostname, via.port or 80
     local = threading.local()
+    # Every thread's connection, for ``close``: a threading.local cannot be enumerated.
+    opened: list[http.client.HTTPConnection] = []
+    lock = threading.Lock()
 
     def connection() -> http.client.HTTPConnection:
         conn = getattr(local, "conn", None)
@@ -325,6 +329,8 @@ def http_chat_transport(
             if tunnel is not None:
                 conn.set_tunnel(*tunnel, headers=proxy_headers)
             local.conn = conn
+            with lock:
+                opened.append(conn)
         elif conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
             # An idle socket is readable only once the peer has closed it
             # (or sent what no request asked for): reconnect, spending no attempt.
@@ -364,7 +370,22 @@ def http_chat_transport(
             raise AgentProtocolError("endpoint reply content must be a string")
         return content
 
+    def close() -> None:
+        with lock:
+            for conn in opened:
+                conn.close()
+
+    # A function attribute, so that wrappers made with functools.wraps keep it.
+    send.close = close  # type: ignore[attr-defined]
     return send
+
+
+def close_connections(holder: object) -> None:
+    """Close the connections ``holder`` keeps, through its ``close``. A holder
+    without one, such as a mock agent or a scripted transport, keeps none."""
+    close = getattr(holder, "close", None)
+    if close is not None:
+        close()
 
 
 def structured_call(send: Transport, system: str, user: str, parse: Callable[[str], T]) -> T:
@@ -434,6 +455,9 @@ class RemoteAgent:
     def __init__(self, endpoint: str, *, transport: Transport | None = None) -> None:
         self.dropped_proposals = 0
         self._transport = transport or http_chat_transport(endpoint)
+
+    def close(self) -> None:
+        close_connections(self._transport)
 
     def propose_predicates(self, ctx: AgentContext, k: int) -> list[Predicate]:
         if k < 1:

@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .agents import Agent, MockAgent, RemoteAgent
+from .agents import Agent, MockAgent, RemoteAgent, close_connections
 from .dataset import (
     DatasetSplit,
     Task,
@@ -99,7 +99,10 @@ def _cmd_rephrase(args: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(args.labels)
     train = load_dataset(args.train, taxonomy)
     agent = _build_agent(args.agent, train, args.seed, noise=0.0)
-    generated = generate_validation(train, agent, per_sample=args.per_sample)
+    try:
+        generated = generate_validation(train, agent, per_sample=args.per_sample)
+    finally:
+        close_connections(agent)
     save_dataset(generated, args.out)
     print(f"wrote {len(generated)} validation samples to {args.out}")
     return 0
@@ -112,27 +115,29 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     # One index for the whole stage, so each task's searches share its bitsets.
     split = DatasetSplit(train=tuple(train), validation=SampleIndex(validation))
     agent = _build_agent(args.agent, train, args.seed, noise=args.noise)
-    cfg = SearchConfig(
-        max_iterations=args.iterations,
-        proposals_per_expansion=args.proposals,
-    )
-
-    harvested = []
-    val_tasks = {s.task for s in validation}
-    train_labels = {(s.task, s.gold_label) for s in train if s.gold_label}
-    for task in (Task.INTENT, Task.IMAGE_SCENE):
-        if task not in val_tasks:
-            continue
-        for label in taxonomy.labels_for(task):
-            if (task, label) not in train_labels:
+    try:
+        cfg = SearchConfig(
+            max_iterations=args.iterations,
+            proposals_per_expansion=args.proposals,
+        )
+        harvested = []
+        val_tasks = {s.task for s in validation}
+        train_labels = {(s.task, s.gold_label) for s in train if s.gold_label}
+        for task in (Task.INTENT, Task.IMAGE_SCENE):
+            if task not in val_tasks:
                 continue
-            result = run_search(label, task, split, agent, cfg)
-            harvested.extend(rule for rule, _ in result.rules)
-            print(
-                f"{task.value}/{label}: {len(result.rules)} rules "
-                f"from {result.evaluations} evaluations "
-                f"({result.agent_evaluations} agent evaluations)"
-            )
+            for label in taxonomy.labels_for(task):
+                if (task, label) not in train_labels:
+                    continue
+                result = run_search(label, task, split, agent, cfg)
+                harvested.extend(rule for rule, _ in result.rules)
+                print(
+                    f"{task.value}/{label}: {len(result.rules)} rules "
+                    f"from {result.evaluations} evaluations "
+                    f"({result.agent_evaluations} agent evaluations)"
+                )
+    finally:
+        close_connections(agent)
 
     config_digest_input = {
         "iterations": args.iterations,
@@ -181,9 +186,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     base = load_rulebase(args.rules)
     check_labels(base.rules, taxonomy)
     predictor = _build_predictor(args.predictor, taxonomy, args.seed)
-    result = predict_batch(
-        base, predictor, samples, override_threshold=args.override_threshold
-    )
+    try:
+        result = predict_batch(
+            base, predictor, samples, override_threshold=args.override_threshold
+        )
+    finally:
+        close_connections(predictor)
     save_predictions(result.predictions, args.out)
     print(f"wrote {len(result.predictions)} predictions to {args.out}")
     print(json.dumps(asdict(result.report)))

@@ -189,6 +189,8 @@ def save_taxonomy(taxonomy: LabelTaxonomy, path: str | Path) -> None:
 
 _SAMPLE_FIELDS = {"id", "task", "turns", "ocr_text", "image_ref", "gold_label"}
 _TURN_FIELDS = {"speaker", "text"}
+_TASKS = {t.value: t for t in Task}
+_SPEAKERS = {s.value: s for s in Speaker}
 
 
 def _parse_record(record: dict, line_no: int, taxonomy: LabelTaxonomy) -> DialogueSample:
@@ -203,10 +205,9 @@ def _parse_record(record: dict, line_no: int, taxonomy: LabelTaxonomy) -> Dialog
     if not isinstance(sample_id, str) or not sample_id or not encodable(sample_id):
         raise fail("id", "must be a non-empty string without lone surrogates")
     task_raw = record.get("task")
-    try:
-        task = Task(task_raw)
-    except ValueError:
-        raise fail("task", f"has unknown value {task_raw!r}") from None
+    task = _TASKS.get(task_raw) if isinstance(task_raw, str) else None
+    if task is None:
+        raise fail("task", f"has unknown value {task_raw!r}")
 
     turns_raw = record.get("turns")
     if not isinstance(turns_raw, list):
@@ -215,10 +216,9 @@ def _parse_record(record: dict, line_no: int, taxonomy: LabelTaxonomy) -> Dialog
     for i, turn in enumerate(turns_raw):
         if not isinstance(turn, dict) or set(turn) != _TURN_FIELDS:
             raise fail("turns", f"entry {i} must be an object with speaker and text")
-        try:
-            speaker = Speaker(turn["speaker"])
-        except ValueError:
-            raise fail("turns", f"entry {i} has unknown speaker {turn['speaker']!r}") from None
+        speaker = _SPEAKERS.get(turn["speaker"]) if isinstance(turn["speaker"], str) else None
+        if speaker is None:
+            raise fail("turns", f"entry {i} has unknown speaker {turn['speaker']!r}")
         if not isinstance(turn["text"], str) or not encodable(turn["text"]):
             raise fail("turns", f"entry {i} text must be a string without lone surrogates")
         turns.append(Turn(speaker=speaker, text=turn["text"]))

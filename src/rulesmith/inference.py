@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
-from .agents import Transport, extract_fenced_json, http_chat_transport, structured_call
+from .agents import (
+    Transport,
+    close_connections,
+    extract_fenced_json,
+    http_chat_transport,
+    structured_call,
+)
 from .dataset import DialogueSample, LabelTaxonomy, read_jsonl, sample_to_record
 from .errors import AgentError, AgentProtocolError, PredictorError, RulesmithError
 from .predicate import Rule, SampleIndex
@@ -93,6 +99,9 @@ class RemotePredictor:
     ) -> None:
         self.taxonomy = taxonomy
         self._transport = transport or http_chat_transport(endpoint, api_key_env=PREDICTOR_KEY_ENV)
+
+    def close(self) -> None:
+        close_connections(self._transport)
 
     def predict(self, sample: DialogueSample) -> str:
         labels = self.taxonomy.labels_for(sample.task)

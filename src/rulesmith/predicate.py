@@ -18,7 +18,7 @@ import enum
 import unicodedata
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import Iterable, Iterator, Sequence
 
 from .dataset import DialogueSample, Speaker, Task, encodable
@@ -261,8 +261,8 @@ def eval_predicate(p: Predicate, sample: DialogueSample) -> bool:
     return _holds(p.op, normalize_text(p.value), haystack)
 
 
-# Joins a field's texts for the ``contains`` sweep. Any character would do:
-# a needle that holds it is scanned per sample instead.
+# Joins a field's texts. Any character would do, since a ``contains`` hit
+# counts only when it ends inside the text it starts in.
 _SEPARATOR = "\0"
 
 
@@ -275,21 +275,22 @@ class SampleIndex(Sequence[DialogueSample]):
     """A sample collection compiled once for rule evaluation.
 
     Each set of samples is a Python ``int`` whose bit i stands for the i-th
-    sample. Normalized field texts are computed once per field, and the
-    bitsets of each predicate, task and label once per index, so a rule's
+    sample. A field is stored once, as its samples' normalized texts joined
+    by ``_SEPARATOR`` plus each text's start offset, and the bitsets of each
+    predicate, task and label are computed once per index, so a rule's
     match set is the AND of its predicates' bitsets (tidset intersection,
     as in Eclat) and counting it is a popcount. ``for_task`` gives the index
     of one task's samples, built once, so that every search of a task shares
     its bitsets. Nothing outlives the index.
 
     ``contains`` and ``not_contains`` bitsets come from one ``str.find``
-    sweep over the field's texts joined by ``_SEPARATOR``: a needle without
-    the separator cannot span a joint, so each hit lies inside one sample's
-    text, found by ``bisect`` on the texts' start offsets, and the search
-    goes on from the next sample's start. ``not_contains`` is the
-    complement over all samples. An empty needle, or one that holds the
-    separator, falls back to a ``_holds`` scan per sample, as do
-    ``starts_with`` and ``ends_with``.
+    sweep over a field's joined texts. A hit belongs to the text it starts
+    in, found by ``bisect`` on the start offsets, and counts only when it
+    ends before that text does; either way the search goes on from the next
+    text's start, since a later hit in the same text would end later still.
+    ``not_contains`` is the complement over all samples. ``starts_with``
+    and ``ends_with`` apply ``_holds`` to each text sliced from the joined
+    one.
 
     The memo dicts only ever store one value per key: a value depends on its
     key and the samples alone. Threads may share an index, and a race between
@@ -301,7 +302,6 @@ class SampleIndex(Sequence[DialogueSample]):
 
     def __init__(self, samples: Iterable[DialogueSample]) -> None:
         self.samples = tuple(samples)
-        self._texts: dict[PredicateField, tuple[str, ...]] = {}
         self._joined: dict[PredicateField, tuple[str, list[int]]] = {}
         self._predicate_masks: dict[Predicate, int] = {}
         self._task_masks = {task: _to_mask([s.task is task for s in self.samples]) for task in Task}
@@ -326,38 +326,31 @@ class SampleIndex(Sequence[DialogueSample]):
             )
         return index
 
-    def _field_texts(self, field: PredicateField) -> tuple[str, ...]:
-        texts = self._texts.get(field)
-        if texts is None:
-            texts = tuple(normalize_text(extract_field_text(s, field)) for s in self.samples)
-            self._texts[field] = texts
-        return texts
-
     def _joined_texts(self, field: PredicateField) -> tuple[str, list[int]]:
-        """The field's texts joined by ``_SEPARATOR``, and each text's start
-        offset; one more offset, past the end, closes the last text."""
+        """Normalized ``field`` texts joined by ``_SEPARATOR``, and each text's
+        start offset; one more offset, past the end, closes the last text."""
         joined = self._joined.get(field)
         if joined is None:
-            texts = self._field_texts(field)
+            texts = [normalize_text(extract_field_text(s, field)) for s in self.samples]
             starts = list(accumulate((len(t) + 1 for t in texts), initial=0))
             joined = self._joined[field] = (_SEPARATOR.join(texts), starts)
         return joined
 
     def contains_mask(self, field: PredicateField, needle: str) -> int:
         """The samples whose normalized ``field`` text holds ``needle``."""
-        if not needle or _SEPARATOR in needle:
-            return self._scan_mask(PredicateOp.CONTAINS, field, needle)
         joined, starts = self._joined_texts(field)
         mask = 0
         at = joined.find(needle)
-        while at >= 0:
+        while 0 <= at < starts[-1]:
             i = bisect_right(starts, at) - 1
-            mask |= 1 << i
+            if at + len(needle) < starts[i + 1]:
+                mask |= 1 << i
             at = joined.find(needle, starts[i + 1])
         return mask
 
     def _scan_mask(self, op: PredicateOp, field: PredicateField, needle: str) -> int:
-        return _to_mask([_holds(op, needle, text) for text in self._field_texts(field)])
+        joined, starts = self._joined_texts(field)
+        return _to_mask([_holds(op, needle, joined[a : b - 1]) for a, b in pairwise(starts)])
 
     def predicate_mask(self, p: Predicate) -> int:
         mask = self._predicate_masks.get(p)

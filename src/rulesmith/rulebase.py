@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import DialogueSample, LabelTaxonomy, Task, encodable, is_number, read_json
+from .dataset import _TASKS, DialogueSample, LabelTaxonomy, Task, encodable, is_number, read_json
 from .errors import PredicateSyntaxError, RuleBaseError
 from .predicate import (
     Predicate,
@@ -199,6 +199,9 @@ def _rule_to_record(rule: Rule) -> dict:
     }
 
 
+_SOURCES = {s.value: s for s in RuleSource}
+
+
 def _rule_from_record(record: dict, index: int) -> Rule:
     def fail(field: str, detail: str) -> RuleBaseError:
         return RuleBaseError(f"rule entry {index}: field {field!r} {detail}")
@@ -208,10 +211,10 @@ def _rule_from_record(record: dict, index: int) -> Rule:
     rule_id = record.get("id")
     if not isinstance(rule_id, str) or not rule_id or not encodable(rule_id):
         raise fail("id", "must be a non-empty string without lone surrogates")
-    try:
-        task = Task(record.get("task"))
-    except ValueError:
-        raise fail("task", f"has unknown value {record.get('task')!r}") from None
+    task_raw = record.get("task")
+    task = _TASKS.get(task_raw) if isinstance(task_raw, str) else None
+    if task is None:
+        raise fail("task", f"has unknown value {task_raw!r}")
     label = record.get("label")
     if not isinstance(label, str) or not label or not encodable(label):
         raise fail("label", "must be a non-empty string without lone surrogates")
@@ -230,10 +233,10 @@ def _rule_from_record(record: dict, index: int) -> Rule:
     confidence = record.get("confidence")
     if not is_number(confidence):
         raise fail("confidence", "must be a number")
-    try:
-        source = RuleSource(record.get("source"))
-    except ValueError:
-        raise fail("source", f"has unknown value {record.get('source')!r}") from None
+    source_raw = record.get("source")
+    source = _SOURCES.get(source_raw) if isinstance(source_raw, str) else None
+    if source is None:
+        raise fail("source", f"has unknown value {source_raw!r}")
     try:
         return Rule(
             id=rule_id,

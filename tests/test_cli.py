@@ -319,6 +319,83 @@ def test_agent_that_gives_up_ends_the_stage_with_no_output(workspace, capsys, no
     assert not out.exists()
 
 
+class RefusingTransport:
+    """A transport every call of which fails; counts calls to ``close``."""
+
+    def __init__(self) -> None:
+        self.closed = 0
+
+    def __call__(self, messages):
+        raise ConnectionError("refused")
+
+    def close(self) -> None:
+        self.closed += 1
+
+
+@pytest.mark.parametrize("command", ["rephrase", "induce", "predict"])
+def test_a_failing_stage_closes_its_remote_client(workspace, monkeypatch, command):
+    import rulesmith.agents as agents
+    import rulesmith.inference as inference
+
+    tmp, train, val, tax = workspace
+    transports = []
+
+    def factory(endpoint, **options):
+        transports.append(RefusingTransport())
+        return transports[-1]
+
+    monkeypatch.setattr(agents, "http_chat_transport", factory)
+    monkeypatch.setattr(inference, "http_chat_transport", factory)
+    rules = tmp / "rules.json"
+    save_rulebase(RuleBase.build([make_rule("r", "refund", [contains("alpha")], 0.9)]), rules)
+    endpoint = "http://127.0.0.1:9/v1"
+    argv = {
+        "rephrase": ["rephrase", "--train", train, "--agent", endpoint],
+        "induce": ["induce", "--train", train, "--val", val, "--agent", endpoint],
+        "predict": ["predict", "--val", val, "--rules", rules, "--predictor", endpoint],
+    }[command]
+    assert main([str(a) for a in argv + ["--labels", tax, "--out", tmp / "out"]]) == 1
+    assert [t.closed for t in transports] == [1]
+
+
+def test_repeated_chains_in_one_interpreter_keep_memory_bounded(workspace):
+    """Nothing a stage allocates outlives it: after two warm-up rounds of
+    the whole chain, two more rounds retain no more than a fixed slack."""
+    import gc
+    import tracemalloc
+
+    tmp, train, val, tax = workspace
+    files = {name: str(tmp / name) for name in
+             ("rephrased.jsonl", "rules.json", "filtered.json", "preds.jsonl", "report.json")}
+    chain = [
+        ["rephrase", "--train", train, "--labels", tax, "--agent", "mock",
+         "--seed", "5", "--out", files["rephrased.jsonl"]],
+        ["induce", "--train", train, "--val", files["rephrased.jsonl"], "--labels", tax,
+         "--agent", "mock", "--iterations", "20", "--seed", "5", "--out", files["rules.json"]],
+        ["filter", "--rules", files["rules.json"], "--val", val, "--labels", tax,
+         "--out", files["filtered.json"]],
+        ["predict", "--val", val, "--labels", tax, "--rules", files["filtered.json"],
+         "--predictor", "stub:0.6", "--seed", "5", "--out", files["preds.jsonl"]],
+        ["eval", "--pred", files["preds.jsonl"], "--val", val, "--labels", tax,
+         "--report", files["report.json"]],
+    ]
+    # Bytes. The interpreter's own caches (argparse's attribute names) grow
+    # by about 7 KB a round; keeping each round's sample indexes alive would
+    # retain about 57 KB a round.
+    slack = 64 * 1024
+    sizes = []
+    tracemalloc.start()
+    try:
+        for _ in range(4):
+            for argv in chain:
+                assert main([str(a) for a in argv]) == 0
+            gc.collect()
+            sizes.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert sizes[3] - sizes[1] <= slack, sizes
+
+
 def test_agent_reward_past_float_range_is_a_protocol_error(workspace, capsys, no_proxy):
     tmp, train, val, tax = workspace
     out = tmp / "out"

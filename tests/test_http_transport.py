@@ -49,12 +49,18 @@ def judge_rule(url: str) -> RewardEstimate:
         task=Task.INTENT, label="refund", exemplars=(sample,), validation=(sample,)
     )
     rule = make_rule("r", "refund", [contains("退货")], 0.0, confidence=0.0)
-    return agent.evaluate_rule(ctx, rule)
+    try:
+        return agent.evaluate_rule(ctx, rule)
+    finally:
+        agent.close()
 
 
 def classify(url: str) -> str:
     predictor = RemotePredictor(url, TAX)
-    return predictor.predict(intent_sample("s", None, "我要退货"))
+    try:
+        return predictor.predict(intent_sample("s", None, "我要退货"))
+    finally:
+        predictor.close()
 
 
 CALLERS = {
@@ -73,7 +79,8 @@ def test_fenced_reply_parses(monkeypatch, caller):
     call, reply, expected, _ = CALLERS[caller]
     monkeypatch.setenv(AGENT_KEY_ENV, "agent-key")
     monkeypatch.setenv(PREDICTOR_KEY_ENV, "predictor-key")
-    with ScriptedHTTPServer([(200, chat_body(f"Sure:\n{reply}\n"))]) as server:
+    # HTTP/1.1 keeps the connection open until the client's close ends it.
+    with ScriptedHTTPServer([(200, chat_body(f"Sure:\n{reply}\n"))], http11=True) as server:
         assert call(server.url) == expected
     [sent] = server.requests
     assert sent["model"] == "default"
@@ -124,6 +131,7 @@ def test_calls_share_one_kept_alive_connection():
     with ScriptedHTTPServer([(200, chat_body("hi"))] * 5, http11=True) as server:
         send = http_chat_transport(server.url)
         assert [send(MESSAGES) for _ in range(5)] == ["hi"] * 5
+        send.close()
     assert len(set(_client_ports(server))) == 1
 
 
@@ -134,6 +142,7 @@ def test_a_failure_closes_the_connection():
         with pytest.raises(ConnectionError, match="HTTP 500"):
             send(MESSAGES)
         assert [send(MESSAGES) for _ in range(2)] == ["hi"] * 2
+        send.close()
     first, second, third = _client_ports(server)
     assert first != second == third
 
@@ -147,6 +156,7 @@ def test_a_connection_the_peer_closed_is_replaced_before_reuse():
             # A bare transport call: no retry loop could hide a spent attempt.
             assert send(MESSAGES) == "hi"
             assert server.closed.acquire(timeout=5)
+        send.close()
     assert len(server.requests) == 4
     assert len(set(_client_ports(server))) == 4
 
@@ -173,8 +183,35 @@ def test_threads_sharing_a_transport_use_their_own_connections():
         for thread in threads:
             thread.join(timeout=10)
         assert not any(thread.is_alive() for thread in threads)
+        send.close()
     assert replies == {"a": ["a0", "a1", "a2"], "b": ["b0", "b1", "b2"]}
     assert len(set(_client_ports(server))) == 2
+
+
+def test_close_ends_every_threads_connection():
+    with ScriptedHTTPServer([(200, chat_body("hi"))] * 4, http11=True) as server:
+        send = http_chat_transport(server.url)
+        asked, closed = threading.Event(), threading.Event()
+
+        def ask_around_the_close() -> None:
+            send(MESSAGES)
+            asked.set()
+            assert closed.wait(timeout=5)
+            send(MESSAGES)
+
+        worker = threading.Thread(target=ask_around_the_close)
+        worker.start()
+        send(MESSAGES)
+        assert asked.wait(timeout=5)
+        send.close()  # from the main thread, for the worker's connection too
+        closed.set()
+        send(MESSAGES)
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        send.close()
+    # Both threads reconnected after the close: four requests, four connections.
+    assert len(server.requests) == 4
+    assert len(set(_client_ports(server))) == 4
 
 
 @pytest.mark.parametrize("bypass", [False, True], ids=["proxied", "no-proxy"])

@@ -201,14 +201,15 @@ def holds_recount(p: Predicate, corpus) -> int:
     return sum(1 << i for i, sample in enumerate(corpus) if eval_predicate(p, sample))
 
 
-# The joint of "xab" and "cy" spells "bc"; empty texts make adjacent
-# separators; "x" hits only the first sample and "yy" only the last.
+# The joint of "xab" and "cy" spells "bc", or "b\0c" with the separator;
+# empty texts make adjacent separators; "x" hits only the first sample and
+# "yy" only the last.
 EDGE_CORPUS = ocr_samples("xab", "cy", "", "", "a\0b", "aaaa", "", "ab yy")
 
 
 @settings(max_examples=200, deadline=None)
 @given(corpus=corpora(), values=st.lists(st.sampled_from(VALUES), min_size=1, max_size=4))
-@example(corpus=EDGE_CORPUS, values=["bc", "\0", "a\0b", "aa", "aaaa", "cy", "x", "yy"])
+@example(corpus=EDGE_CORPUS, values=["bc", "b\0c", "\0", "a\0b", "aa", "aaaa", "cy", "x", "yy"])
 @example(corpus=[], values=["ab", "\0"])
 def test_predicate_masks_equal_a_holds_recount(corpus, values):
     index = SampleIndex(corpus)
@@ -242,7 +243,7 @@ def test_contains_masks_make_no_per_sample_holds_call(monkeypatch):
             assert len(calls) == per_sample * len(EDGE_CORPUS), (field, op)
         calls.clear()
         index.predicate_mask(Predicate(field, PredicateOp.NOT_CONTAINS, "a\0b"))
-        assert len(calls) == len(EDGE_CORPUS)
+        assert not calls, field
 
 
 def test_index_is_the_sequence_of_its_samples():
