@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence, TypeVar
 
-from .dataset import DialogueSample, Task, encodable, is_number
+from .dataset import DialogueSample, Fields, Task, encodable
 from .errors import AgentError, AgentProtocolError, AgentUnavailableError, PredicateSyntaxError
 from .predicate import (
     Predicate,
@@ -247,13 +247,11 @@ def extract_fenced_json(content: str) -> dict:
     return payload
 
 
-def _checked_ratio(payload: dict, field_name: str) -> float:
-    value = payload.get(field_name)
-    if not is_number(value):
-        raise AgentProtocolError(f"field {field_name!r} must be a number, got {value!r}")
-    if not 0.0 <= float(value) <= 1.0:
-        raise AgentProtocolError(f"field {field_name!r} out of range [0, 1]: {value!r}")
-    return float(value)
+def _checked_ratio(fields: Fields, key: str) -> float:
+    value = fields.number(key)
+    if not 0.0 <= value <= 1.0:
+        raise fields.fail(key, f"out of range [0, 1]: {value!r}")
+    return value
 
 
 def http_chat_transport(
@@ -479,10 +477,12 @@ class RemoteAgent:
         )
 
         def parse(content: str) -> list[str]:
-            payload = extract_fenced_json(content)
-            raw = payload.get("predicates")
-            if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
-                raise AgentProtocolError('field "predicates" must be an array of strings')
+            fields = Fields(extract_fenced_json(content), AgentProtocolError)
+            raw = fields.array("predicates")
+            # Not ``fields.texts``: an entry that does not parse, a lone
+            # surrogate included, is dropped below rather than failing the reply.
+            if not all(isinstance(x, str) for x in raw):
+                raise fields.fail("predicates", "must be an array of strings")
             return raw
 
         raw_predicates = structured_call(self._transport, system, user, parse)
@@ -519,13 +519,12 @@ class RemoteAgent:
         )
 
         def parse(content: str) -> RewardEstimate:
-            payload = extract_fenced_json(content)
-            reward = _checked_ratio(payload, "reward")
-            confidence = _checked_ratio(payload, "confidence")
-            rationale = payload.get("rationale", "")
-            if not isinstance(rationale, str):
-                raise AgentProtocolError('field "rationale" must be a string')
-            return RewardEstimate(reward=reward, confidence=confidence, rationale=rationale)
+            fields = Fields(extract_fenced_json(content), AgentProtocolError)
+            return RewardEstimate(
+                reward=_checked_ratio(fields, "reward"),
+                confidence=_checked_ratio(fields, "confidence"),
+                rationale=fields.text("rationale", default=""),
+            )
 
         return structured_call(self._transport, system, user, parse)
 

@@ -24,6 +24,7 @@ from .dataset import (
     load_dataset,
     load_taxonomy,
     save_dataset,
+    write_json,
 )
 from .errors import RulesmithError
 from .harness import evaluate, format_report, load_report, report_to_dict, save_report
@@ -124,11 +125,12 @@ def _cmd_induce(args: argparse.Namespace) -> int:
         val_tasks = {s.task for s in validation}
         train_labels = {(s.task, s.gold_label) for s in train if s.gold_label}
         for task in (Task.INTENT, Task.IMAGE_SCENE):
-            if task not in val_tasks:
+            labels = [label for label in taxonomy.labels_for(task) if (task, label) in train_labels]
+            if labels and task not in val_tasks:
+                print(f"{task.value}: skipped {len(labels)} labels, "
+                      f"because --val has no {task.value} samples")
                 continue
-            for label in taxonomy.labels_for(task):
-                if (task, label) not in train_labels:
-                    continue
+            for label in labels:
                 result = run_search(label, task, split, agent, cfg)
                 harvested.extend(rule for rule, _ in result.rules)
                 print(
@@ -196,9 +198,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     print(f"wrote {len(result.predictions)} predictions to {args.out}")
     print(json.dumps(asdict(result.report)))
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(asdict(result.report), indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(args.report, asdict(result.report))
     return 0
 
 

@@ -17,7 +17,7 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence, TypeVar
 
 from .errors import DatasetError, RulesmithError
 
@@ -119,16 +119,88 @@ def encodable(text: str) -> bool:
     return True
 
 
-def is_number(value: object) -> bool:
-    """A JSON number that converts to a float: not a bool, not an integer
-    past float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        float(value)
-    except OverflowError:
-        return False
-    return True
+_MEMBERS: dict[type, dict] = {}  # per enum, its members by value
+E = TypeVar("E", bound=enum.Enum)
+
+
+class Fields:
+    """The one definition of a valid field in a decoded JSON object.
+
+    Each check reads ``record[key]``, a missing key as ``default``, and
+    returns it as the caller's type, or raises ``error`` with the message
+    ``{where}field 'key' ...``.
+    """
+
+    __slots__ = ("record", "error", "where")
+
+    def __init__(self, record: dict, error: type[RulesmithError], where: str = "") -> None:
+        self.record, self.error, self.where = record, error, where
+
+    def fail(self, key: str, detail: str) -> RulesmithError:
+        return self.error(f"{self.where}field {key!r} {detail}")
+
+    def text(self, key: str, *, empty: bool = True, null: bool = False,
+             default: str | None = None) -> str | None:
+        """A string without lone surrogates; ``empty=False`` refuses "" and
+        ``null=True`` accepts null."""
+        value = self.record.get(key, default)
+        if value is None and null:
+            return None
+        if isinstance(value, str) and (empty or value) and encodable(value):
+            return value
+        kind = f"{'null or ' if null else ''}a {'' if empty else 'non-empty '}string"
+        raise self.fail(key, f"must be {kind} without lone surrogates")
+
+    def texts(self, key: str, *, empty: bool = True) -> list[str]:
+        """An array of strings without lone surrogates; ``empty=False``
+        refuses an empty array."""
+        value = self.record.get(key)
+        if isinstance(value, list) and (empty or value) and all(
+            isinstance(x, str) and encodable(x) for x in value
+        ):
+            return value
+        kind = "an array" if empty else "a non-empty array"
+        raise self.fail(key, f"must be {kind} of strings without lone surrogates")
+
+    def choice(self, key: str, members: type[E]) -> E:
+        """The member of a string-valued enum whose value the field holds."""
+        table = _MEMBERS.get(members) or _MEMBERS.setdefault(members, {m.value: m for m in members})
+        value = self.record.get(key)
+        member = table.get(value) if isinstance(value, str) else None
+        if member is None:
+            raise self.fail(key, f"has unknown value {value!r}")
+        return member
+
+    def number(self, key: str, *, null: bool = False) -> float | None:
+        """A number that converts to a float: not a bool, not an integer past
+        float range; ``null=True`` accepts null."""
+        value = self.record.get(key)
+        if value is None and null:
+            return None
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                return float(value)
+            except OverflowError:
+                pass
+        raise self.fail(key, f"must be a number{' or null' if null else ''}")
+
+    def integer(self, key: str) -> int:
+        value = self.record.get(key)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise self.fail(key, "must be an integer")
+
+    def array(self, key: str, *, default: list | None = None) -> list:
+        value = self.record.get(key, default)
+        if isinstance(value, list):
+            return value
+        raise self.fail(key, "must be an array")
+
+    def mapping(self, key: str, *, default: dict | None = None) -> dict:
+        value = self.record.get(key, default)
+        if isinstance(value, dict):
+            return value
+        raise self.fail(key, "must be an object")
 
 
 def read_json(path: str | Path, error: type[RulesmithError]) -> object:
@@ -167,78 +239,60 @@ def read_jsonl(
             raise error(f"{where}line {line_no}: invalid JSON ({detail})") from None
 
 
+def write_json(path: str | Path, doc: object) -> None:
+    """Write ``doc`` as UTF-8 JSON, indented by two, with a trailing newline."""
+    Path(path).write_text(json.dumps(doc, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """Write one compact UTF-8 JSON object per line."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
 def load_taxonomy(path: str | Path) -> LabelTaxonomy:
     raw = read_json(path, DatasetError)
     if not isinstance(raw, dict):
         raise DatasetError("taxonomy file must contain a JSON object")
-    labels: dict[str, tuple[str, ...]] = {}
-    for task in ("intent", "image_scene"):
-        entries = raw.get(task)
-        if not isinstance(entries, list) or not all(
-            isinstance(x, str) and encodable(x) for x in entries
-        ):
-            raise DatasetError(f"taxonomy field {task!r} must list strings without lone surrogates")
-        labels[task] = tuple(entries)
-    return LabelTaxonomy(intent=labels["intent"], image_scene=labels["image_scene"])
+    fields = Fields(raw, DatasetError, "taxonomy ")
+    return LabelTaxonomy(
+        intent=tuple(fields.texts("intent")), image_scene=tuple(fields.texts("image_scene"))
+    )
 
 
 def save_taxonomy(taxonomy: LabelTaxonomy, path: str | Path) -> None:
-    doc = {"intent": list(taxonomy.intent), "image_scene": list(taxonomy.image_scene)}
-    Path(path).write_text(json.dumps(doc, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+    write_json(path, {"intent": list(taxonomy.intent), "image_scene": list(taxonomy.image_scene)})
 
 
 _SAMPLE_FIELDS = {"id", "task", "turns", "ocr_text", "image_ref", "gold_label"}
 _TURN_FIELDS = {"speaker", "text"}
-_TASKS = {t.value: t for t in Task}
-_SPEAKERS = {s.value: s for s in Speaker}
 
 
-def _parse_record(record: dict, line_no: int, taxonomy: LabelTaxonomy) -> DialogueSample:
+def _parse_record(record: dict, taxonomy: LabelTaxonomy) -> DialogueSample:
+    """One dataset record; ``load_dataset`` puts the line number in front of
+    every error message."""
     unknown = set(record) - _SAMPLE_FIELDS
     if unknown:
-        raise DatasetError(f"line {line_no}: unknown field {sorted(unknown)[0]!r}")
-
-    def fail(field: str, detail: str) -> DatasetError:
-        return DatasetError(f"line {line_no}: field {field!r} {detail}")
-
-    sample_id = record.get("id")
-    if not isinstance(sample_id, str) or not sample_id or not encodable(sample_id):
-        raise fail("id", "must be a non-empty string without lone surrogates")
-    task_raw = record.get("task")
-    task = _TASKS.get(task_raw) if isinstance(task_raw, str) else None
-    if task is None:
-        raise fail("task", f"has unknown value {task_raw!r}")
-
-    turns_raw = record.get("turns")
-    if not isinstance(turns_raw, list):
-        raise fail("turns", "must be an array")
-    turns = []
-    for i, turn in enumerate(turns_raw):
-        if not isinstance(turn, dict) or set(turn) != _TURN_FIELDS:
-            raise fail("turns", f"entry {i} must be an object with speaker and text")
-        speaker = _SPEAKERS.get(turn["speaker"]) if isinstance(turn["speaker"], str) else None
-        if speaker is None:
-            raise fail("turns", f"entry {i} has unknown speaker {turn['speaker']!r}")
-        if not isinstance(turn["text"], str) or not encodable(turn["text"]):
-            raise fail("turns", f"entry {i} text must be a string without lone surrogates")
-        turns.append(Turn(speaker=speaker, text=turn["text"]))
-
-    ocr_text = record.get("ocr_text", "")
-    if not isinstance(ocr_text, str) or not encodable(ocr_text):
-        raise fail("ocr_text", "must be a string without lone surrogates")
-    image_ref = record.get("image_ref")
-    if image_ref is not None and not (isinstance(image_ref, str) and encodable(image_ref)):
-        raise fail("image_ref", "must be null or a string without lone surrogates")
-    gold_label = record.get("gold_label")
-    if gold_label is not None:
-        if not isinstance(gold_label, str):
-            raise fail("gold_label", "must be a string or null")
-        if gold_label not in taxonomy.labels_for(task):
-            raise DatasetError(
-                f"line {line_no}: gold_label {gold_label!r} is not in the "
-                f"{task.value} taxonomy"
-            )
-
+        raise DatasetError(f"unknown field {sorted(unknown)[0]!r}")
+    fields = Fields(record, DatasetError)
+    sample_id = fields.text("id", empty=False)
+    task = fields.choice("task", Task)
+    turns_raw, turns = fields.array("turns"), []
+    try:
+        for i, turn in enumerate(turns_raw):
+            if not isinstance(turn, dict) or set(turn) != _TURN_FIELDS:
+                raise DatasetError("must be an object with speaker and text")
+            fields.record = turn  # the record's decoder reads each turn: none is made per turn
+            turns.append(Turn(fields.choice("speaker", Speaker), fields.text("text")))
+    except DatasetError as exc:
+        raise DatasetError(f"turns entry {i}: {exc}") from None
+    fields.record = record
+    ocr_text = fields.text("ocr_text", default="")
+    image_ref = fields.text("image_ref", null=True)
+    gold_label = fields.text("gold_label", null=True)
+    if gold_label is not None and gold_label not in taxonomy.labels_for(task):
+        raise DatasetError(f"gold_label {gold_label!r} is not in the {task.value} taxonomy")
     try:
         return DialogueSample(
             id=sample_id,
@@ -249,7 +303,7 @@ def _parse_record(record: dict, line_no: int, taxonomy: LabelTaxonomy) -> Dialog
             gold_label=gold_label,
         )
     except ValueError as exc:
-        raise DatasetError(f"line {line_no}: {exc}") from None
+        raise DatasetError(str(exc)) from None
 
 
 def load_dataset(path: str | Path, taxonomy: LabelTaxonomy) -> list[DialogueSample]:
@@ -258,7 +312,10 @@ def load_dataset(path: str | Path, taxonomy: LabelTaxonomy) -> list[DialogueSamp
     samples: list[DialogueSample] = []
     seen_ids: set[str] = set()
     for line_no, record in read_jsonl(path, DatasetError):
-        sample = _parse_record(record, line_no, taxonomy)
+        try:
+            sample = _parse_record(record, taxonomy)
+        except DatasetError as exc:
+            raise DatasetError(f"line {line_no}: {exc}") from None
         if sample.id in seen_ids:
             raise DatasetError(f"line {line_no}: duplicate id {sample.id!r}")
         seen_ids.add(sample.id)
@@ -278,9 +335,7 @@ def sample_to_record(sample: DialogueSample) -> dict:
 
 
 def save_dataset(samples: Iterable[DialogueSample], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for sample in samples:
-            handle.write(json.dumps(sample_to_record(sample), ensure_ascii=False) + "\n")
+    write_jsonl(path, map(sample_to_record, samples))
 
 
 def derived_id(source_id: str, copy_index: int) -> str:

@@ -44,5 +44,9 @@ class PredictorError(RulesmithError):
     """The classifier endpoint failed or returned an invalid label."""
 
 
+class PredictionFileError(RulesmithError):
+    """Malformed prediction file."""
+
+
 class EvaluationError(RulesmithError):
     """Predictions and gold data cannot be scored together."""

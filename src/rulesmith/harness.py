@@ -12,13 +12,12 @@ average is also reported for transparency on unbalanced sets.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import DialogueSample, LabelTaxonomy, Task, encodable, is_number, read_json
+from .dataset import DialogueSample, Fields, LabelTaxonomy, Task, read_json, write_json
 from .errors import EvaluationError
 from .inference import Prediction
 
@@ -176,14 +175,7 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def save_report(report: EvalReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_dict(report), ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    write_json(path, report_to_dict(report))
 
 
 def load_report(path: str | Path) -> dict:
@@ -192,33 +184,22 @@ def load_report(path: str | Path) -> dict:
     doc = read_json(path, EvaluationError)
     if not isinstance(doc, dict) or "oss" not in doc:
         raise EvaluationError("report file does not look like an evaluation report")
-
-    def malformed(detail: str) -> EvaluationError:
-        return EvaluationError(f"{path} is a malformed report: {detail}")
-
-    if not is_number(doc["oss"]):
-        raise malformed('"oss" must be a number')
+    where = f"{path} is a malformed report: "
+    fields = Fields(doc, EvaluationError, where)
+    fields.number("oss")
     for key in ("dis", "iss", "oss_mean"):
-        if doc.get(key) is not None and not is_number(doc[key]):
-            raise malformed(f'"{key}" must be a number or null')
-    counts = doc.get("counts", {})
-    if not isinstance(counts, dict) or not all(_is_int(v) for v in counts.values()):
-        raise malformed('"counts" must be an object with integer values')
-    rows = doc.get("per_class", [])
-    if not isinstance(rows, list):
-        raise malformed('"per_class" must be a list')
-    for i, row in enumerate(rows):
-        if not (
-            isinstance(row, dict)
-            and isinstance(row.get("label"), str)
-            and encodable(row["label"])
-            and all(is_number(row.get(key)) for key in ("precision", "recall", "f1"))
-            and _is_int(row.get("support"))
-        ):
-            raise malformed(
-                f'"per_class" entry {i} must hold a string "label" without lone surrogates, '
-                f'numbers "precision", "recall" and "f1", and an integer "support"'
-            )
+        fields.number(key, null=True)
+    counts = Fields(fields.mapping("counts", default={}), EvaluationError, f"{where}counts ")
+    for key in counts.record:
+        counts.integer(key)
+    for i, row in enumerate(fields.array("per_class", default=[])):
+        if not isinstance(row, dict):
+            raise fields.fail("per_class", f"entry {i} must be an object")
+        entry = Fields(row, EvaluationError, f"{where}per_class entry {i}: ")
+        entry.text("label")
+        for key in ("precision", "recall", "f1"):
+            entry.number(key)
+        entry.integer("support")
     return doc
 
 

@@ -23,8 +23,10 @@ from .agents import (
     http_chat_transport,
     structured_call,
 )
-from .dataset import DialogueSample, LabelTaxonomy, read_jsonl, sample_to_record
-from .errors import AgentError, AgentProtocolError, PredictorError, RulesmithError
+from .dataset import (
+    DialogueSample, Fields, LabelTaxonomy, read_jsonl, sample_to_record, write_jsonl
+)
+from .errors import AgentError, AgentProtocolError, PredictionFileError, PredictorError
 from .predicate import Rule, SampleIndex
 from .rulebase import RuleBase
 
@@ -117,13 +119,10 @@ class RemotePredictor:
         )
 
         def parse(content: str) -> str:
-            label = extract_fenced_json(content).get("label")
-            if not isinstance(label, str) or not label:
-                raise AgentProtocolError('field "label" must be a non-empty string')
+            fields = Fields(extract_fenced_json(content), AgentProtocolError)
+            label = fields.text("label", empty=False)
             if label not in labels:
-                raise AgentProtocolError(
-                    f"label {label!r} is not in the {sample.task.value} taxonomy"
-                )
+                raise fields.fail("label", f"{label!r} is not in the {sample.task.value} taxonomy")
             return label
 
         try:
@@ -265,29 +264,24 @@ def prediction_to_record(prediction: Prediction) -> dict:
 
 
 def save_predictions(predictions: Iterable[Prediction], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for prediction in predictions:
-            handle.write(json.dumps(prediction_to_record(prediction), ensure_ascii=False) + "\n")
+    write_jsonl(path, map(prediction_to_record, predictions))
 
 
 def load_predictions(path: str | Path) -> list[Prediction]:
     predictions: list[Prediction] = []
-    for line_no, record in read_jsonl(path, RulesmithError, "prediction file "):
-        for key in ("id", "label", "predictor_label"):
-            if key in record and not isinstance(record[key], str):
-                raise RulesmithError(f'prediction file line {line_no}: "{key}" must be a string')
+    for line_no, record in read_jsonl(path, PredictionFileError, "prediction file "):
+        where = f"prediction file line {line_no}: malformed record: "
+        fields = Fields(record, PredictionFileError, where)
         try:
             predictions.append(
                 Prediction(
-                    sample_id=record["id"],
-                    label=record["label"],
-                    source=PredictionSource(record["source"]),
-                    fired_rule_id=record.get("fired_rule_id"),
-                    predictor_label=record["predictor_label"],
+                    sample_id=fields.text("id"),
+                    label=fields.text("label"),
+                    source=fields.choice("source", PredictionSource),
+                    fired_rule_id=fields.text("fired_rule_id", null=True),
+                    predictor_label=fields.text("predictor_label"),
                 )
             )
-        except (KeyError, ValueError) as exc:
-            raise RulesmithError(
-                f"prediction file line {line_no}: malformed record ({exc})"
-            ) from None
+        except ValueError as exc:
+            raise PredictionFileError(f"{where}{exc}") from None
     return predictions

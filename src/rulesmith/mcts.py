@@ -21,15 +21,13 @@ counts the rules the agent actually scored.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO
 
 from .agents import Agent, AgentContext, RewardEstimate
-from .dataset import DatasetSplit, Task
+from .dataset import DatasetSplit, Task, write_jsonl
 from .predicate import MAX_RULE_PREDICATES, Predicate, Rule, RuleSource, SampleIndex
 
 logger = logging.getLogger(__name__)
@@ -149,9 +147,8 @@ def run_search(
     harvested: list[tuple[Rule, RewardEstimate]] = []
     iterations = 0
     best_reward = 0.0
-    trace: IO[str] | None = None
-    if trace_path is not None:
-        trace = Path(trace_path).open("w", encoding="utf-8")
+    # Written when the search ends, whether it succeeded or failed.
+    trace: list[dict] | None = None if trace_path is None else []
 
     def make_context(state: frozenset[Predicate]) -> AgentContext:
         # The context depends on the state alone, which makes the
@@ -242,24 +239,18 @@ def run_search(
                 best_reward,
             )
             if trace is not None:
-                trace.write(
-                    json.dumps(
-                        {
-                            "label": label,
-                            "iteration": iteration,
-                            "evaluations": len(harvested),
-                            "depth": len(child.state),
-                            "reward": estimate.reward,
-                            "confidence": estimate.confidence,
-                            "best_reward": best_reward,
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+                trace.append({
+                    "label": label,
+                    "iteration": iteration,
+                    "evaluations": len(harvested),
+                    "depth": len(child.state),
+                    "reward": estimate.reward,
+                    "confidence": estimate.confidence,
+                    "best_reward": best_reward,
+                })
     finally:
         if trace is not None:
-            trace.close()
+            write_jsonl(trace_path, trace)
 
     logger.info(
         "search %s/%s finished: %d iterations, %d rules from %d agent evaluations, "

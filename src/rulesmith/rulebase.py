@@ -8,12 +8,11 @@ agent-reported rewards can hallucinate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import _TASKS, DialogueSample, LabelTaxonomy, Task, encodable, is_number, read_json
+from .dataset import DialogueSample, Fields, LabelTaxonomy, Task, read_json, write_json
 from .errors import PredicateSyntaxError, RuleBaseError
 from .predicate import (
     Predicate,
@@ -199,52 +198,28 @@ def _rule_to_record(rule: Rule) -> dict:
     }
 
 
-_SOURCES = {s.value: s for s in RuleSource}
-
-
 def _rule_from_record(record: dict, index: int) -> Rule:
-    def fail(field: str, detail: str) -> RuleBaseError:
-        return RuleBaseError(f"rule entry {index}: field {field!r} {detail}")
-
     if not isinstance(record, dict):
         raise RuleBaseError(f"rule entry {index}: must be an object")
-    rule_id = record.get("id")
-    if not isinstance(rule_id, str) or not rule_id or not encodable(rule_id):
-        raise fail("id", "must be a non-empty string without lone surrogates")
-    task_raw = record.get("task")
-    task = _TASKS.get(task_raw) if isinstance(task_raw, str) else None
-    if task is None:
-        raise fail("task", f"has unknown value {task_raw!r}")
-    label = record.get("label")
-    if not isinstance(label, str) or not label or not encodable(label):
-        raise fail("label", "must be a non-empty string without lone surrogates")
-    raw_predicates = record.get("predicates")
-    if not isinstance(raw_predicates, list) or not raw_predicates:
-        raise fail("predicates", "must be a non-empty array")
-    if not all(isinstance(text, str) for text in raw_predicates):
-        raise fail("predicates", "must contain only strings")
+    fields = Fields(record, RuleBaseError, f"rule entry {index}: ")
+    rule_id = fields.text("id", empty=False)
+    task = fields.choice("task", Task)
+    label = fields.text("label", empty=False)
     try:
-        predicates = frozenset(parse_predicate(text) for text in raw_predicates)
+        predicates = frozenset(map(parse_predicate, fields.texts("predicates", empty=False)))
     except PredicateSyntaxError as exc:
-        raise fail("predicates", f"contains an invalid predicate: {exc}") from None
-    reward = record.get("reward")
-    if not is_number(reward):
-        raise fail("reward", "must be a number")
-    confidence = record.get("confidence")
-    if not is_number(confidence):
-        raise fail("confidence", "must be a number")
-    source_raw = record.get("source")
-    source = _SOURCES.get(source_raw) if isinstance(source_raw, str) else None
-    if source is None:
-        raise fail("source", f"has unknown value {source_raw!r}")
+        raise fields.fail("predicates", f"contains an invalid predicate: {exc}") from None
+    reward = fields.number("reward")
+    confidence = fields.number("confidence")
+    source = fields.choice("source", RuleSource)
     try:
         return Rule(
             id=rule_id,
             task=task,
             label=label,
             predicates=predicates,
-            reward=float(reward),
-            confidence=float(confidence),
+            reward=reward,
+            confidence=confidence,
             source=source,
         )
     except ValueError as exc:
@@ -252,7 +227,7 @@ def _rule_from_record(record: dict, index: int) -> Rule:
 
 
 def save_rulebase(rulebase: RuleBase, path: str | Path) -> None:
-    doc = {
+    write_json(path, {
         "version": RULEBASE_VERSION,
         "metadata": {
             "created_at": rulebase.metadata.created_at,
@@ -260,10 +235,7 @@ def save_rulebase(rulebase: RuleBase, path: str | Path) -> None:
             "config_digest": rulebase.metadata.config_digest,
         },
         "rules": [_rule_to_record(r) for r in rulebase.rules],
-    }
-    Path(path).write_text(
-        json.dumps(doc, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
+    })
 
 
 def load_rulebase(path: str | Path) -> RuleBase:
@@ -276,19 +248,12 @@ def load_rulebase(path: str | Path) -> RuleBase:
             f"unknown rule base version {version!r}; this build reads version "
             f"{RULEBASE_VERSION}"
         )
-    metadata_raw = doc.get("metadata")
-    if not isinstance(metadata_raw, dict):
-        raise RuleBaseError("field 'metadata' must be an object")
-    for key in ("created_at", "dataset_digest", "config_digest"):
-        if not isinstance(metadata_raw.get(key), str) or not encodable(metadata_raw[key]):
-            raise RuleBaseError(f"metadata field {key!r} must be a string without lone surrogates")
-    rules_raw = doc.get("rules")
-    if not isinstance(rules_raw, list):
-        raise RuleBaseError("field 'rules' must be an array")
-    rules = tuple(_rule_from_record(r, i) for i, r in enumerate(rules_raw))
+    fields = Fields(doc, RuleBaseError)
+    meta = Fields(fields.mapping("metadata"), RuleBaseError, "metadata ")
     metadata = RuleBaseMetadata(
-        created_at=metadata_raw["created_at"],
-        dataset_digest=metadata_raw["dataset_digest"],
-        config_digest=metadata_raw["config_digest"],
+        created_at=meta.text("created_at"),
+        dataset_digest=meta.text("dataset_digest"),
+        config_digest=meta.text("config_digest"),
     )
+    rules = tuple(_rule_from_record(r, i) for i, r in enumerate(fields.array("rules")))
     return RuleBase(rules=rules, metadata=metadata)

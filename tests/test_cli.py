@@ -133,6 +133,29 @@ def test_induce_extracts_each_validation_field_once(tmp_path, monkeypatch):
     assert max(extracted.values()) == 1
 
 
+def test_induce_says_which_task_it_skips(tmp_path, capsys):
+    """A task with training labels but no validation samples is skipped, and
+    the skip is printed rather than silent."""
+    intent, scene = ["refund", "shipping", "invoice"], ["receipt", "tracking"]
+    split = stratified_split(build_two_task_corpus(intent, scene, per_label=12, seed=2), 0.4, seed=2)
+    save_dataset(split.train, tmp_path / "train.jsonl")
+    save_dataset([s for s in split.validation if s.task is Task.INTENT], tmp_path / "val.jsonl")
+    save_taxonomy(LabelTaxonomy(intent=tuple(intent), image_scene=tuple(scene)),
+                  tmp_path / "labels.json")
+    assert main(
+        ["induce", "--train", str(tmp_path / "train.jsonl"), "--val", str(tmp_path / "val.jsonl"),
+         "--labels", str(tmp_path / "labels.json"), "--agent", "mock", "--iterations", "10",
+         "--seed", "2", "--out", str(tmp_path / "rules.json")]
+    ) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "image_scene: skipped 2 labels, because --val has no image_scene samples" in lines
+    assert [line.split(":")[0] for line in lines if line.startswith("intent/")] == [
+        f"intent/{label}" for label in intent
+    ]
+    assert not any(line.startswith("image_scene/") for line in lines)
+    assert {rule.task for rule in load_rulebase(tmp_path / "rules.json").rules} == {Task.INTENT}
+
+
 def test_no_rulesmith_function_keeps_a_process_lifetime_cache():
     """A long-lived process that calls main repeatedly must not pile up samples."""
     import functools
@@ -450,7 +473,7 @@ def _rules_labelled(label, task=Task.INTENT):
         ("eval", lambda val: _predictions_for(val, lambda ids: ids + ["not-in-gold"]),
          "EvaluationError"),
         ("eval", lambda val: _predictions_for(val, lambda ids: ids + [5]),
-         "RulesmithError"),
+         "PredictionFileError"),
         ("report", lambda val: '{"oss": 0.5, "per_class": [1]}', "EvaluationError"),
         ("report", lambda val: '{"oss": 0.5, "counts": []}', "EvaluationError"),
     ],
@@ -504,7 +527,8 @@ def test_undecodable_json_files_are_structured_errors(workspace, capsys, option,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     last = json.loads(err.strip().splitlines()[-1])
-    assert last["error"] in {"DatasetError", "RuleBaseError", "RulesmithError", "EvaluationError"}
+    assert last["error"] in {"DatasetError", "RuleBaseError", "PredictionFileError",
+                             "EvaluationError"}
     assert "JSON" in last["message"]
     assert not (tmp / "v.jsonl").exists() and not (tmp / "f.json").exists()
 
@@ -515,8 +539,11 @@ def test_undecodable_json_files_are_structured_errors(workspace, capsys, option,
      ("rephrase --labels", '"refund"', '"refund\\ud800"'),
      ("filter --rules", "alpha", "alpha\\ud800"),
      ("filter --rules", '"id": "r"', '"id": "r\\ud800"'),
-     ("report --report", '"label": "refund"', '"label": "refund\\ud800"')],
-    ids=["turn-text", "taxonomy-label", "predicate-value", "rule-id", "report-label"],
+     ("report --report", '"label": "refund"', '"label": "refund\\ud800"'),
+     ("eval --pred", '"id": "', '"id": "\\ud800'),
+     ("eval --pred", '"label": "refund"', '"label": "refund\\ud800"')],
+    ids=["turn-text", "taxonomy-label", "predicate-value", "rule-id", "report-label",
+         "prediction-id", "prediction-label"],
 )
 def test_lone_surrogates_in_input_files_are_structured_errors(workspace, capsys, option, old, new):
     """A JSON escape such as "\\ud800" decodes to a lone surrogate, which no
@@ -529,8 +556,11 @@ def test_lone_surrogates_in_input_files_are_structured_errors(workspace, capsys,
     report = tmp / "report.json"
     row = {"label": "refund", "precision": 1.0, "recall": 1.0, "f1": 1.0, "support": 1}
     report.write_text(json.dumps({"oss": 1.0, "per_class": [row]}), encoding="utf-8")
+    preds = tmp / "preds.jsonl"
+    preds.write_text(_predictions_for(val, lambda ids: ids), encoding="utf-8")
     command, flag = option.split()
-    path = {"--train": train, "--labels": tax, "--rules": rules, "--report": report}[flag]
+    path = {"--train": train, "--labels": tax, "--rules": rules, "--report": report,
+            "--pred": preds}[flag]
     text = path.read_text(encoding="utf-8")
     assert old in text
     path.write_text(text.replace(old, new, 1), encoding="utf-8")
@@ -539,6 +569,7 @@ def test_lone_surrogates_in_input_files_are_structured_errors(workspace, capsys,
         "rephrase": ["rephrase", "--train", train, "--labels", tax, "--seed", "1", "--out", out],
         "filter": ["filter", "--rules", rules, "--out", out],
         "report": ["report", "--report", report],
+        "eval": ["eval", "--pred", preds, "--val", val, "--labels", tax, "--report", out],
     }[command]
     assert main([str(a) for a in argv]) == 1
     err = capsys.readouterr().err
@@ -546,7 +577,8 @@ def test_lone_surrogates_in_input_files_are_structured_errors(workspace, capsys,
     last = json.loads(err.strip().splitlines()[-1])
     assert set(last) == {"error", "message"}
     assert last["error"] == {
-        "rephrase": "DatasetError", "filter": "RuleBaseError", "report": "EvaluationError"
+        "rephrase": "DatasetError", "filter": "RuleBaseError", "report": "EvaluationError",
+        "eval": "PredictionFileError",
     }[command]
     assert "surrogate" in last["message"]
     assert not out.exists()

@@ -10,6 +10,7 @@ from rulesmith import (
     ABSTAIN_LABEL,
     LabelTaxonomy,
     Prediction,
+    PredictionFileError,
     PredictionSource,
     PredictorError,
     RemotePredictor,
@@ -375,6 +376,16 @@ class TestPredictionFiles:
             "fired_rule_id": fired_rule_id, "predictor_label": "refund",
         }) + "\n", encoding="utf-8")
         with pytest.raises(RulesmithError, match="line 1: malformed record"):
+            load_predictions(path)
+
+    @pytest.mark.parametrize("key", ["id", "label", "fired_rule_id", "predictor_label"])
+    def test_a_lone_surrogate_in_any_string_field_is_refused(self, tmp_path, key):
+        record = {"id": "a", "label": "refund", "source": "rule",
+                  "fired_rule_id": "r1", "predictor_label": "refund"}
+        record[key] += "\ud800"
+        path = tmp_path / "preds.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(PredictionFileError, match=f"line 1: .*'{key}'.*lone surrogates"):
             load_predictions(path)
 
     def test_byte_identical_given_fixed_inputs(self, tmp_path):
