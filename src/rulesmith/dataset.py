@@ -128,7 +128,8 @@ class Fields:
 
     Each check reads ``record[key]``, a missing key as ``default``, and
     returns it as the caller's type, or raises ``error`` with the message
-    ``{where}field 'key' ...``.
+    ``{where}field 'key' ...``. A loader may point one decoder at each record
+    of a file in turn, so that reading a record allocates none.
     """
 
     __slots__ = ("record", "error", "where")
@@ -269,13 +270,13 @@ _SAMPLE_FIELDS = {"id", "task", "turns", "ocr_text", "image_ref", "gold_label"}
 _TURN_FIELDS = {"speaker", "text"}
 
 
-def _parse_record(record: dict, taxonomy: LabelTaxonomy) -> DialogueSample:
-    """One dataset record; ``load_dataset`` puts the line number in front of
-    every error message."""
+def _parse_record(fields: Fields, taxonomy: LabelTaxonomy) -> DialogueSample:
+    """The dataset record that ``fields`` points at; ``load_dataset`` puts the
+    line number in front of every error message."""
+    record = fields.record
     unknown = set(record) - _SAMPLE_FIELDS
     if unknown:
         raise DatasetError(f"unknown field {sorted(unknown)[0]!r}")
-    fields = Fields(record, DatasetError)
     sample_id = fields.text("id", empty=False)
     task = fields.choice("task", Task)
     turns_raw, turns = fields.array("turns"), []
@@ -283,7 +284,7 @@ def _parse_record(record: dict, taxonomy: LabelTaxonomy) -> DialogueSample:
         for i, turn in enumerate(turns_raw):
             if not isinstance(turn, dict) or set(turn) != _TURN_FIELDS:
                 raise DatasetError("must be an object with speaker and text")
-            fields.record = turn  # the record's decoder reads each turn: none is made per turn
+            fields.record = turn
             turns.append(Turn(fields.choice("speaker", Speaker), fields.text("text")))
     except DatasetError as exc:
         raise DatasetError(f"turns entry {i}: {exc}") from None
@@ -311,9 +312,11 @@ def load_dataset(path: str | Path, taxonomy: LabelTaxonomy) -> list[DialogueSamp
 
     samples: list[DialogueSample] = []
     seen_ids: set[str] = set()
+    fields = Fields({}, DatasetError)  # pointed at each record, and each turn, in turn
     for line_no, record in read_jsonl(path, DatasetError):
+        fields.record = record
         try:
-            sample = _parse_record(record, taxonomy)
+            sample = _parse_record(fields, taxonomy)
         except DatasetError as exc:
             raise DatasetError(f"line {line_no}: {exc}") from None
         if sample.id in seen_ids:

@@ -269,9 +269,9 @@ def save_predictions(predictions: Iterable[Prediction], path: str | Path) -> Non
 
 def load_predictions(path: str | Path) -> list[Prediction]:
     predictions: list[Prediction] = []
+    fields = Fields({}, PredictionFileError)  # pointed at each record in turn
     for line_no, record in read_jsonl(path, PredictionFileError, "prediction file "):
-        where = f"prediction file line {line_no}: malformed record: "
-        fields = Fields(record, PredictionFileError, where)
+        fields.record = record
         try:
             predictions.append(
                 Prediction(
@@ -282,6 +282,8 @@ def load_predictions(path: str | Path) -> list[Prediction]:
                     predictor_label=fields.text("predictor_label"),
                 )
             )
-        except ValueError as exc:
-            raise PredictionFileError(f"{where}{exc}") from None
+        except (PredictionFileError, ValueError) as exc:
+            raise PredictionFileError(
+                f"prediction file line {line_no}: malformed record: {exc}"
+            ) from None
     return predictions
