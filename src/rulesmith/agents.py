@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence, TypeVar
 
 from .dataset import DialogueSample, Fields, Task, encodable
-from .errors import AgentError, AgentProtocolError, AgentUnavailableError, PredicateSyntaxError
+from .errors import (AgentError, AgentProtocolError, AgentUnavailableError, ArgumentError,
+                     PredicateSyntaxError, check_ratio)
 from .predicate import (
     Predicate,
     PredicateField,
@@ -153,11 +154,9 @@ class MockAgent:
         *,
         noise: float = 0.05,
     ) -> None:
-        if not 0.0 <= noise <= 1.0:
-            raise ValueError("noise must be in [0, 1]")
+        self.noise = check_ratio("noise", noise)
         self.corpus = tuple(corpus)
         self.seed = seed
-        self.noise = noise
         self._ranked: dict[tuple[Task, str], list[str]] = {}
         self._frequencies: _TokenFrequencies | None = None
 
@@ -264,7 +263,7 @@ def http_chat_transport(
     """POST messages to a chat-completions endpoint, return the reply text.
 
     The URL and the proxy are checked and resolved here, once: a malformed
-    URL raises ``ValueError`` before any request is sent. The proxy comes
+    URL raises ``ArgumentError`` before any request is sent. The proxy comes
     from ``http_proxy``/``https_proxy`` unless ``no_proxy`` covers the host.
     Each thread keeps one kept-alive connection, replaced after any failure
     and, before reuse, once the peer has closed it. A status outside 2xx
@@ -287,9 +286,9 @@ def http_chat_transport(
     try:
         port = url.port  # None when absent
     except ValueError as exc:  # not a number, or out of range
-        raise ValueError(f"endpoint {endpoint!r}: {exc}") from None
+        raise ArgumentError(f"endpoint {endpoint!r}: {exc}") from None
     if url.scheme not in ("http", "https") or not url.hostname:
-        raise ValueError(f"endpoint must be an http(s):// URL with a host, got {endpoint!r}")
+        raise ArgumentError(f"endpoint must be an http(s):// URL with a host, got {endpoint!r}")
     host = url.hostname
     target = (url.path or "/") + (f"?{url.query}" if url.query else "")
     tls = ssl.create_default_context() if url.scheme == "https" else None
@@ -302,7 +301,7 @@ def http_chat_transport(
     ):
         via = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
         if via.scheme != "http" or not via.hostname:
-            raise ValueError(f"{url.scheme}_proxy must be an http:// URL, got {proxy!r}")
+            raise ArgumentError(f"{url.scheme}_proxy must be an http:// URL, got {proxy!r}")
         if via.username is not None:
             user, password = (urllib.parse.unquote(v or "") for v in (via.username, via.password))
             token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")

@@ -26,7 +26,7 @@ from .dataset import (
     save_dataset,
     write_json,
 )
-from .errors import RulesmithError
+from .errors import ArgumentError, RulesmithError, check_at_least, check_ratio
 from .harness import evaluate, format_report, load_report, report_to_dict, save_report
 from .inference import (
     DEFAULT_OVERRIDE_THRESHOLD,
@@ -47,7 +47,6 @@ from .rulebase import (
     RuleBase,
     RuleBaseMetadata,
     check_labels,
-    check_thresholds,
     filter_by_reward,
     load_rulebase,
     online_validate,
@@ -79,19 +78,23 @@ def _endpoint(spec: str, option: str, local: str) -> str:
     """``spec`` if it is an endpoint URL; a mistyped local spec fails here,
     before any request is sent or any output file is written."""
     if not spec.startswith(("http://", "https://")):
-        raise ValueError(f"{option} must be {local} or an http(s):// URL, got {spec!r}")
+        raise ArgumentError(f"{option} must be {local} or an http(s):// URL, got {spec!r}")
     return spec
 
 
 def _build_agent(spec: str, corpus, seed: int | None, noise: float) -> Agent:
     if spec == "mock":
         return MockAgent(corpus, seed=seed if seed is not None else 0, noise=noise)
+    check_ratio("noise", noise)  # a remote agent ignores it, but config_digest records it
     return RemoteAgent(_endpoint(spec, "--agent", "'mock'"))
 
 
 def _build_predictor(spec: str, taxonomy, seed: int | None) -> Predictor:
     if spec.startswith("stub:"):
-        accuracy = float(spec.split(":", 1)[1])
+        try:
+            accuracy = float(spec.split(":", 1)[1])
+        except ValueError:
+            raise ArgumentError(f"--predictor must be 'stub:<accuracy>', got {spec!r}") from None
         return StubPredictor(taxonomy, accuracy, seed=seed if seed is not None else 0)
     return RemotePredictor(_endpoint(spec, "--predictor", "'stub:<accuracy>'"), taxonomy)
 
@@ -155,7 +158,10 @@ def _cmd_induce(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
-    check_thresholds(args.min_precision, args.min_support)  # with or without --val
+    check_ratio("min_precision", args.min_precision)  # with or without --val
+    check_at_least("min_support", args.min_support, 0)
+    if args.val and not args.labels:
+        raise ArgumentError("--val requires --labels to load the validation set")
     base = load_rulebase(args.rules)
     taxonomy = None
     if args.labels:
@@ -165,8 +171,6 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     rules = remove_dominated(rules)
     dropped_online = 0
     if args.val:
-        if taxonomy is None:
-            raise RulesmithError("--val requires --labels to load the validation set")
         validation = load_dataset(args.val, taxonomy)
         outcome = online_validate(
             rules, validation, min_precision=args.min_precision, min_support=args.min_support
@@ -290,14 +294,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (RulesmithError, ValueError) as exc:  # ValueError: a malformed argument value
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 1
-    except OSError as exc:
-        print(json.dumps({"error": "OSError", "message": str(exc)}), file=sys.stderr)
+    # UnicodeEncodeError: stdout cannot encode a label. Any other exception is a bug.
+    except (RulesmithError, OSError, UnicodeEncodeError) as exc:
+        name = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+        print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
         return 1
 
 

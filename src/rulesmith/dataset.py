@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence, TypeVar
 
-from .errors import DatasetError, RulesmithError
+from .errors import DatasetError, RulesmithError, check_at_least
 
 
 class Task(str, enum.Enum):
@@ -359,8 +359,7 @@ def generate_validation(
     Returns the copies sorted by derived id.
     """
 
-    if per_sample < 1:
-        raise ValueError("per_sample must be >= 1")
+    check_at_least("per_sample", per_sample, 1)
     for sample in train:
         if sample.gold_label is None:
             raise DatasetError(f"sample {sample.id!r} has no gold_label; cannot rephrase")

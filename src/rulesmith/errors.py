@@ -7,6 +7,22 @@ class RulesmithError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ArgumentError(RulesmithError, ValueError):
+    """A malformed option or setting; a ``ValueError`` too, for library callers."""
+
+
+def check_ratio(name: str, value: float) -> float:
+    if not 0.0 <= value <= 1.0:  # NaN fails too
+        raise ArgumentError(f"{name} must be in [0, 1], got {value!r}")
+    return value
+
+
+def check_at_least(name: str, value: int, low: int) -> int:
+    if value < low:
+        raise ArgumentError(f"{name} must be >= {low}, got {value!r}")
+    return value
+
+
 class DatasetError(RulesmithError):
     """Malformed dataset or taxonomy input."""
 

@@ -9,15 +9,14 @@ prediction for later analysis.
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
-import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 from .agents import (
     Transport,
+    _stable_rng,
     close_connections,
     extract_fenced_json,
     http_chat_transport,
@@ -26,7 +25,7 @@ from .agents import (
 from .dataset import (
     DialogueSample, Fields, LabelTaxonomy, read_jsonl, sample_to_record, write_jsonl
 )
-from .errors import AgentError, AgentProtocolError, PredictionFileError, PredictorError
+from .errors import AgentError, AgentProtocolError, PredictionFileError, PredictorError, check_ratio
 from .predicate import Rule, SampleIndex
 from .rulebase import RuleBase
 
@@ -75,18 +74,15 @@ class StubPredictor:
     """
 
     def __init__(self, taxonomy: LabelTaxonomy, accuracy: float, seed: int = 0) -> None:
-        if not 0.0 <= accuracy <= 1.0:
-            raise ValueError("accuracy must be in [0, 1]")
         self.taxonomy = taxonomy
-        self.accuracy = accuracy
+        self.accuracy = check_ratio("accuracy", accuracy)
         self.seed = seed
 
     def predict(self, sample: DialogueSample) -> str:
         labels = self.taxonomy.labels_for(sample.task)
         if not labels:
             raise PredictorError(f"no labels configured for task {sample.task.value}")
-        digest = hashlib.sha256(f"{self.seed}|{sample.id}".encode("utf-8")).digest()
-        rng = random.Random(int.from_bytes(digest[:8], "big"))
+        rng = _stable_rng(self.seed, sample.id)
         if sample.gold_label is not None and rng.random() < self.accuracy:
             return sample.gold_label
         wrong = [l for l in labels if l != sample.gold_label] or list(labels)
@@ -216,8 +212,7 @@ def predict_batch(
     label. More than ``FAILURE_BUDGET`` classifier failures abort the batch.
     """
 
-    if not 0.0 <= override_threshold <= 1.0:
-        raise ValueError(f"override_threshold must be in [0, 1], got {override_threshold!r}")
+    check_ratio("override_threshold", override_threshold)
     predictions: list[Prediction] = []
     report = BatchReport()
     for sample, fired in zip(samples, _fired_rules(rulebase, samples)):

@@ -28,6 +28,7 @@ from pathlib import Path
 
 from .agents import Agent, AgentContext, RewardEstimate
 from .dataset import DatasetSplit, Task, write_jsonl
+from .errors import check_at_least
 from .predicate import MAX_RULE_PREDICATES, Predicate, Rule, RuleSource, SampleIndex
 
 logger = logging.getLogger(__name__)
@@ -58,10 +59,8 @@ class SearchConfig:
     proposals_per_expansion: int = 5
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.proposals_per_expansion < 1:
-            raise ValueError("proposals_per_expansion must be >= 1")
+        check_at_least("max_iterations", self.max_iterations, 1)
+        check_at_least("proposals_per_expansion", self.proposals_per_expansion, 1)
 
 
 @dataclass

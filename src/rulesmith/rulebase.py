@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .dataset import DialogueSample, Fields, LabelTaxonomy, Task, read_json, write_json
-from .errors import PredicateSyntaxError, RuleBaseError
+from .errors import PredicateSyntaxError, RuleBaseError, check_at_least, check_ratio
 from .predicate import (
     Predicate,
     Rule,
@@ -76,8 +76,7 @@ def filter_by_reward(
     rules: Sequence[Rule], min_reward: float = DEFAULT_MIN_REWARD
 ) -> list[Rule]:
     """Keep rules whose reward is at least the threshold; the boundary stays."""
-    if not 0.0 <= min_reward <= 1.0:
-        raise ValueError(f"min_reward must be in [0, 1], got {min_reward!r}")
+    check_ratio("min_reward", min_reward)
     return [r for r in rules if r.reward >= min_reward]
 
 
@@ -146,16 +145,6 @@ class OnlineValidation:
     dropped: tuple[tuple[Rule, RuleQuality], ...]
 
 
-def check_thresholds(min_precision: float, min_support: int) -> None:
-    """Raise ``ValueError`` unless ``min_precision`` is in [0, 1] and
-    ``min_support`` is non-negative."""
-
-    if not 0.0 <= min_precision <= 1.0:
-        raise ValueError(f"min_precision must be in [0, 1], got {min_precision!r}")
-    if min_support < 0:
-        raise ValueError(f"min_support must be non-negative, got {min_support!r}")
-
-
 def online_validate(
     rules: Sequence[Rule],
     validation: Sequence[DialogueSample],
@@ -167,7 +156,8 @@ def online_validate(
     Kept rules carry the measured precision as their reward from here on.
     """
 
-    check_thresholds(min_precision, min_support)
+    check_ratio("min_precision", min_precision)
+    check_at_least("min_support", min_support, 0)
     if not validation:
         raise RuleBaseError("cannot validate rules against an empty validation set")
     kept: list[Rule] = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 from collections import Counter
@@ -257,6 +258,9 @@ def test_mock_and_stub_stages_never_import_requests(workspace):
         ["filter", "--min-precision", "5", "--min-support", "-3"],
         ["filter", "--min-precision", "5"],
         ["filter", "--min-support", "-3"],
+        # Checked before the remote agent is built, so no request is sent.
+        ["induce", "--agent", "http://127.0.0.1:9/v1", "--noise", "5"],
+        ["filter", "--val", "VAL"],
     ],
 )
 def test_malformed_values_are_structured_errors(workspace, capsys, argv):
@@ -283,8 +287,42 @@ def test_malformed_values_are_structured_errors(workspace, capsys, argv):
     assert "Traceback" not in err
     error = json.loads(err.strip().splitlines()[-1])
     assert set(error) == {"error", "message"}
+    if "BROKEN" not in argv:  # every case but the two malformed files
+        assert error["error"] == "ArgumentError"
     if "--out" in required:
         assert not required[required.index("--out") + 1].exists()
+
+
+def test_a_bug_in_a_stage_is_not_reported_as_bad_input(workspace, monkeypatch):
+    """Only the program's own errors end in exit 1; any other is a traceback."""
+    tmp, train, val, tax = workspace
+    preds = tmp / "preds.jsonl"
+    preds.write_text(_predictions_for(val, lambda ids: ids), encoding="utf-8")
+
+    def broken(*args, **kwargs):
+        raise ValueError("an invariant broke")
+
+    monkeypatch.setattr("rulesmith.cli.evaluate", broken)
+    with pytest.raises(ValueError, match="an invariant broke"):
+        main(["eval", "--pred", str(preds), "--val", str(val), "--labels", str(tax)])
+
+
+def test_a_label_stdout_cannot_encode_is_a_structured_error(tmp_path, capsys, monkeypatch):
+    labels = ["\u9000\u6b3e", "shipping"]  # the first is 退款, "refund"
+    samples = build_planted_corpus(labels, per_label=3, seed=1)
+    val, tax, preds = tmp_path / "val.jsonl", tmp_path / "labels.json", tmp_path / "preds.jsonl"
+    save_dataset(samples, val)
+    save_taxonomy(LabelTaxonomy(intent=tuple(labels), image_scene=()), tax)
+    save_predictions(
+        [Prediction(s.id, s.gold_label, PredictionSource.PREDICTOR, None, s.gold_label)
+         for s in samples],
+        preds,
+    )
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+    status = main(["eval", "--pred", str(preds), "--val", str(val), "--labels", str(tax)])
+    assert status == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "UnicodeEncodeError"
 
 
 @pytest.mark.parametrize(
@@ -308,8 +346,8 @@ def test_malformed_endpoint_url_is_refused_before_any_request(
     assert status == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    # A ValueError from building the transport, not a failure of a request.
-    assert json.loads(err.strip().splitlines()[-1])["error"] == "ValueError"
+    # An ArgumentError from building the transport, not a failure of a request.
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "ArgumentError"
     assert not out.exists()
 
 
