@@ -263,7 +263,7 @@ def http_chat_transport(
     """POST messages to a chat-completions endpoint, return the reply text.
 
     The URL and the proxy are checked and resolved here, once: a malformed
-    URL raises ``ArgumentError`` before any request is sent. The proxy comes
+    URL or proxy raises ``ArgumentError`` before any request is sent. The proxy comes
     from ``http_proxy``/``https_proxy`` unless ``no_proxy`` covers the host.
     Each thread keeps one kept-alive connection, replaced after any failure
     and, before reuse, once the peer has closed it. A status outside 2xx
@@ -282,11 +282,16 @@ def http_chat_transport(
     import urllib.parse
     import urllib.request
 
-    url = urllib.parse.urlsplit(endpoint)
-    try:
-        port = url.port  # None when absent
-    except ValueError as exc:  # not a number, or out of range
-        raise ArgumentError(f"endpoint {endpoint!r}: {exc}") from None
+    def split(name: str, text: str) -> tuple[urllib.parse.SplitResult, int | None]:
+        if any(c <= " " or c == "\x7f" for c in text):  # http.client refuses them
+            raise ArgumentError(f"{name} {text!r} holds a space or control character")
+        try:  # the port is None when absent
+            parts = urllib.parse.urlsplit(text)
+            return parts, parts.port
+        except ValueError as exc:  # a broken IPv6 literal, or a port not a number in range
+            raise ArgumentError(f"{name} {text!r}: {exc}") from None
+
+    url, port = split("endpoint", endpoint)
     if url.scheme not in ("http", "https") or not url.hostname:
         raise ArgumentError(f"endpoint must be an http(s):// URL with a host, got {endpoint!r}")
     host = url.hostname
@@ -299,7 +304,7 @@ def http_chat_transport(
     if proxy and not urllib.request.proxy_bypass_environment(
         host if port is None else f"{host}:{port}", proxies
     ):
-        via = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        via, via_port = split(f"{url.scheme}_proxy", proxy if "://" in proxy else f"http://{proxy}")
         if via.scheme != "http" or not via.hostname:
             raise ArgumentError(f"{url.scheme}_proxy must be an http:// URL, got {proxy!r}")
         if via.username is not None:
@@ -310,7 +315,7 @@ def http_chat_transport(
             tunnel = (host, port)
         else:  # HTTP: the proxy takes the absolute URI
             target = f"http://{url.netloc}{target}"
-        host, port = via.hostname, via.port or 80
+        host, port = via.hostname, via_port or 80
     local = threading.local()
     # Every thread's connection, for ``close``: a threading.local cannot be enumerated.
     opened: list[http.client.HTTPConnection] = []

@@ -107,8 +107,8 @@ def _cmd_rephrase(args: argparse.Namespace) -> int:
         generated = generate_validation(train, agent, per_sample=args.per_sample)
     finally:
         close_connections(agent)
-    save_dataset(generated, args.out)
     print(f"wrote {len(generated)} validation samples to {args.out}")
+    save_dataset(generated, args.out)
     return 0
 
 
@@ -120,10 +120,7 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     split = DatasetSplit(train=tuple(train), validation=SampleIndex(validation))
     agent = _build_agent(args.agent, train, args.seed, noise=args.noise)
     try:
-        cfg = SearchConfig(
-            max_iterations=args.iterations,
-            proposals_per_expansion=args.proposals,
-        )
+        cfg = SearchConfig(max_iterations=args.iterations, proposals_per_expansion=args.proposals)
         harvested = []
         val_tasks = {s.task for s in validation}
         train_labels = {(s.task, s.gold_label) for s in train if s.gold_label}
@@ -152,8 +149,8 @@ def _cmd_induce(args: argparse.Namespace) -> int:
         "agent": args.agent,
     }
     base = RuleBase.build(harvested, _metadata(args.train, config_digest_input, args.seed))
-    save_rulebase(base, args.out)
     print(f"wrote {len(base.rules)} rules to {args.out}")
+    save_rulebase(base, args.out)
     return 0
 
 
@@ -178,11 +175,9 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         rules = list(outcome.kept)
         dropped_online = len(outcome.dropped)
     filtered = RuleBase.build(rules, base.metadata)
+    dropped = f" ({dropped_online} failed online validation)" if args.val else ""
+    print(f"kept {len(filtered.rules)} of {len(base.rules)} rules{dropped}")
     save_rulebase(filtered, args.out)
-    print(
-        f"kept {len(filtered.rules)} of {len(base.rules)} rules"
-        + (f" ({dropped_online} failed online validation)" if args.val else "")
-    )
     return 0
 
 
@@ -193,14 +188,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     check_labels(base.rules, taxonomy)
     predictor = _build_predictor(args.predictor, taxonomy, args.seed)
     try:
-        result = predict_batch(
-            base, predictor, samples, override_threshold=args.override_threshold
-        )
+        result = predict_batch(base, predictor, samples, override_threshold=args.override_threshold)
     finally:
         close_connections(predictor)
-    save_predictions(result.predictions, args.out)
     print(f"wrote {len(result.predictions)} predictions to {args.out}")
     print(json.dumps(asdict(result.report)))
+    save_predictions(result.predictions, args.out)
     if args.report:
         write_json(args.report, asdict(result.report))
     return 0
@@ -211,9 +204,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     samples = load_dataset(args.val, taxonomy)
     predictions = load_predictions(args.pred)
     report = evaluate(predictions, samples, taxonomy)
+    print(format_report(report_to_dict(report)))
     if args.report:
         save_report(report, args.report)
-    print(format_report(report_to_dict(report)))
     return 0
 
 
@@ -294,7 +287,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    # UnicodeEncodeError: stdout cannot encode a label. Any other exception is a bug.
+    # UnicodeEncodeError: stdout cannot encode a label or path. Every stage prints
+    # before it writes, so none leaves a file. Any other exception is a bug.
     except (RulesmithError, OSError, UnicodeEncodeError) as exc:
         name = "OSError" if isinstance(exc, OSError) else type(exc).__name__
         print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)

@@ -318,17 +318,42 @@ def test_a_label_stdout_cannot_encode_is_a_structured_error(tmp_path, capsys, mo
          for s in samples],
         preds,
     )
+    report = tmp_path / "report.json"
     monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
-    status = main(["eval", "--pred", str(preds), "--val", str(val), "--labels", str(tax)])
+    status = main(["eval", "--pred", str(preds), "--val", str(val), "--labels", str(tax),
+                   "--report", str(report)])
     assert status == 1
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"] == "UnicodeEncodeError"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["rephrase", "induce", "predict"])
+def test_a_path_stdout_cannot_encode_leaves_no_file(workspace, capsys, monkeypatch, command):
+    tmp, train, val, tax = workspace
+    rules = tmp / "rules.json"
+    assert main([str(a) for a in ["induce", "--train", train, "--val", val, "--labels", tax,
+                                  "--iterations", "5", "--seed", "1", "--out", rules]]) == 0
+    out, report = tmp / "\u51fa.json", tmp / "report.json"  # 出, "out"
+    argv = {
+        "rephrase": ["rephrase", "--train", train, "--labels", tax],
+        "induce": ["induce", "--train", train, "--val", val, "--labels", tax, "--iterations", "5"],
+        "predict": ["predict", "--val", val, "--labels", tax, "--rules", rules,
+                    "--predictor", "stub:0.9", "--report", report],
+    }[command]
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+    assert main([str(a) for a in argv + ["--out", out]]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "UnicodeEncodeError"
+    assert not out.exists() and not report.exists()
 
 
 @pytest.mark.parametrize(
     "url",
-    ["http://", "http://127.0.0.1:99999/v1", "http://127.0.0.1:abc/"],
-    ids=["no-host", "port-out-of-range", "port-not-a-number"],
+    ["http://", "http://127.0.0.1:99999/v1", "http://127.0.0.1:abc/", "http://[::1/v1",
+     "http://a b/v1"],
+    ids=["no-host", "port-out-of-range", "port-not-a-number", "bad-ipv6-literal",
+         "space-in-host"],
 )
 @pytest.mark.parametrize("option", ["--agent", "--predictor"])
 def test_malformed_endpoint_url_is_refused_before_any_request(
@@ -348,6 +373,29 @@ def test_malformed_endpoint_url_is_refused_before_any_request(
     assert "Traceback" not in err
     # An ArgumentError from building the transport, not a failure of a request.
     assert json.loads(err.strip().splitlines()[-1])["error"] == "ArgumentError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "proxy",
+    ["http://127.0.0.1:abc", "http://127.0.0.1:99999", "http://[::1", "http://a b:8080"],
+    ids=["port-not-a-number", "port-out-of-range", "bad-ipv6-literal", "space-in-host"],
+)
+def test_malformed_proxy_setting_is_refused_before_any_request(
+    workspace, capsys, monkeypatch, no_proxy, proxy
+):
+    tmp, train, val, tax = workspace
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("http_proxy", proxy)
+    out = tmp / "rules.json"
+    status = main([str(a) for a in ["induce", "--train", train, "--val", val, "--labels", tax,
+                                     "--agent", "http://127.0.0.1:9/v1", "--out", out]])
+    assert status == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    error = json.loads(err.strip().splitlines()[-1])
+    assert error["error"] == "ArgumentError" and "http_proxy" in error["message"]
     assert not out.exists()
 
 
