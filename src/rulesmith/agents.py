@@ -82,7 +82,11 @@ class Agent(Protocol):
 # --- tokenization shared by the mock agent and test oracles -----------------
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
-_CJK_RE = re.compile(r"[㐀-鿿豈-﫿]")
+
+# CJK ideographs. ``tokenize`` compiles them on first use, through re's own
+# cache: building this class's charmap takes milliseconds, which stages that
+# never tokenize should not pay at import.
+_CJK = "[\u3400-\u9fff\uf900-\ufaff]"
 
 # Tokens above this length never make useful keyword predicates.
 MAX_TOKEN_LENGTH = 64
@@ -92,8 +96,9 @@ def tokenize(text: str) -> set[str]:
     """Candidate keyword tokens of a text: word runs, plus 2/3-grams of CJK runs."""
 
     tokens: set[str] = set()
+    cjk = re.compile(_CJK)
     for run in _WORD_RE.findall(normalize_text(text)):
-        if _CJK_RE.search(run):
+        if cjk.search(run):
             if len(run) <= 2:
                 tokens.add(run)
             for n in (2, 3):
@@ -390,12 +395,18 @@ def close_connections(holder: object) -> None:
         close()
 
 
+def first_messages(system: str, user: str) -> list[dict[str, str]]:
+    """The conversation of a structured call's first attempt."""
+    return [{"role": "system", "content": system}, {"role": "user", "content": user}]
+
+
 def structured_call(send: Transport, system: str, user: str, parse: Callable[[str], T]) -> T:
     """Send a system and a user message until ``parse`` accepts the reply,
     at most ``RETRIES`` times.
 
     This is the one place that builds a chat conversation, for the agent
-    and the classifier alike: the system message, then the user message. A
+    and the classifier alike: the system message, then the user message
+    (``first_messages``, which a prefetched first attempt uses too). A
     reply that ``parse`` rejects with ``AgentProtocolError`` is retried with
     that reply appended as an assistant turn and the parse error as a user
     turn; a transport failure is retried with the conversation unchanged. A
@@ -407,7 +418,7 @@ def structured_call(send: Transport, system: str, user: str, parse: Callable[[st
     """
 
     last_error: AgentError  # RETRIES >= 1, so the loop always sets it
-    conversation = [{"role": "system", "content": system}, {"role": "user", "content": user}]
+    conversation = first_messages(system, user)
     for attempt in range(1, RETRIES + 1):
         try:
             content = send(conversation)

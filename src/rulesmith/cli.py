@@ -195,7 +195,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     print(json.dumps(asdict(result.report)))
     save_predictions(result.predictions, args.out)
     if args.report:
-        write_json(args.report, asdict(result.report))
+        try:
+            write_json(args.report, asdict(result.report))
+        except OSError:  # exit 1 leaves no output file
+            Path(args.out).unlink(missing_ok=True)
+            raise
     return 0
 
 

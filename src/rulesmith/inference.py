@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import enum
 import json
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence
 
 from .agents import (
     Transport,
     _stable_rng,
     close_connections,
     extract_fenced_json,
+    first_messages,
     http_chat_transport,
     structured_call,
 )
@@ -29,10 +31,15 @@ from .errors import AgentError, AgentProtocolError, PredictionFileError, Predict
 from .predicate import Rule, SampleIndex
 from .rulebase import RuleBase
 
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ThreadPoolExecutor
+
 PREDICTOR_KEY_ENV = "RULESMITH_PREDICTOR_KEY"
 DEFAULT_OVERRIDE_THRESHOLD = 0.8
 # Classifier failures a batch absorbs; one more aborts it.
 FAILURE_BUDGET = 3
+# A remote classifier's first attempts in flight at once; twice as many wait queued.
+PREFETCH = 8
 
 # Emitted when the classifier failed and no rule fired; deliberately not a
 # taxonomy label so downstream scoring treats it as a miss.
@@ -90,29 +97,78 @@ class StubPredictor:
 
 
 class RemotePredictor:
-    """Classifier behind a chat-completions endpoint; replies {"label": ...}."""
+    """Classifier behind a chat-completions endpoint; replies {"label": ...}.
+
+    ``prefetch`` sends the first attempts of upcoming samples ahead of time
+    from ``PREFETCH`` worker threads. ``predict`` still runs on the caller's
+    thread: it takes a prefetched reply only for the sample at the head of
+    the window, and every retry goes through the transport there, so replies
+    and attempts are those of the serial calls.
+    """
+
+    _SYSTEM = (
+        "Classify the sample into exactly one of the allowed labels. "
+        'Reply with exactly one fenced JSON block: {"label": "..."}'
+    )
 
     def __init__(
         self, endpoint: str, taxonomy: LabelTaxonomy, *, transport: Transport | None = None
     ) -> None:
         self.taxonomy = taxonomy
         self._transport = transport or http_chat_transport(endpoint, api_key_env=PREDICTOR_KEY_ENV)
+        self._pool: ThreadPoolExecutor | None = None
+        # Prefetched samples in order, each with its first reply; then those still to send.
+        self._window: deque[tuple[DialogueSample, Future[str]]] = deque()
+        self._upcoming: Iterator[DialogueSample] = iter(())
 
     def close(self) -> None:
+        self._drop_window()
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
         close_connections(self._transport)
 
-    def predict(self, sample: DialogueSample) -> str:
+    def _drop_window(self) -> None:
+        for _, future in self._window:
+            future.cancel()  # a request already sent runs to its end
+        self._window.clear()
+        self._upcoming = iter(())
+
+    def prefetch(self, samples: Iterable[DialogueSample]) -> None:
+        """Send the first attempts of ``samples``, in order, ahead of ``predict``,
+        keeping at most ``2 * PREFETCH`` of them outstanding."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        self._drop_window()
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(PREFETCH, thread_name_prefix="rulesmith-predict")
+        self._upcoming = iter(samples)
+        for _ in range(2 * PREFETCH):
+            self._send_next()
+
+    def _send_next(self) -> None:
+        sample = next(self._upcoming, None)
+        if sample is not None:
+            messages = first_messages(self._SYSTEM, self._prompt(sample)[1])
+            self._window.append((sample, self._pool.submit(self._transport, messages)))
+
+    def _prompt(self, sample: DialogueSample) -> tuple[tuple[str, ...], str]:
+        """The sample's allowed labels, and the user message that lists them."""
         labels = self.taxonomy.labels_for(sample.task)
         record = sample_to_record(sample)
         record.pop("gold_label", None)
-        system = (
-            "Classify the sample into exactly one of the allowed labels. "
-            'Reply with exactly one fenced JSON block: {"label": "..."}'
-        )
         user = (
             f"Allowed labels: {', '.join(labels)}\n"
             f"Sample: {json.dumps(record, ensure_ascii=False)}"
         )
+        return labels, user
+
+    def predict(self, sample: DialogueSample) -> str:
+        labels, user = self._prompt(sample)
+        send = self._transport
+        if self._window and self._window[0][0] is sample:
+            send = _first_reply_from(self._window.popleft()[1], send)
+            self._send_next()
 
         def parse(content: str) -> str:
             fields = Fields(extract_fenced_json(content), AgentProtocolError)
@@ -122,11 +178,22 @@ class RemotePredictor:
             return label
 
         try:
-            return structured_call(self._transport, system, user, parse)
+            return structured_call(send, self._SYSTEM, user, parse)
         except AgentError as exc:
             raise PredictorError(
                 f"predictor failed for sample {sample.id!r}: {exc}"
             ) from exc
+
+
+def _first_reply_from(future: Future[str], transport: Transport) -> Transport:
+    """A transport whose first call returns ``future``'s reply, or raises its
+    error, and whose later calls go through ``transport``."""
+    pending = [future]
+
+    def send(messages: list[dict[str, str]]) -> str:
+        return pending.pop().result() if pending else transport(messages)
+
+    return send
 
 
 def _fired_rules(rulebase: RuleBase, samples: Sequence[DialogueSample]) -> list[list[Rule]]:
@@ -210,9 +277,13 @@ def predict_batch(
 
     A classifier error on a sample reaches ``arbitrate`` as a missing
     label. More than ``FAILURE_BUDGET`` classifier failures abort the batch.
+    A predictor with a ``prefetch`` method is handed the samples first.
     """
 
     check_ratio("override_threshold", override_threshold)
+    prefetch = getattr(predictor, "prefetch", None)
+    if prefetch is not None:
+        prefetch(samples)
     predictions: list[Prediction] = []
     report = BatchReport()
     for sample, fired in zip(samples, _fired_rules(rulebase, samples)):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 
 import pytest
 
@@ -20,7 +21,7 @@ from rulesmith import (
     parse_predicate,
     render_predicate,
 )
-from rulesmith.agents import sample_tokens, tokenize
+from rulesmith.agents import _CJK, sample_tokens, tokenize
 from _helpers import ScriptedTransport, contains, intent_sample, make_rule
 
 
@@ -46,6 +47,28 @@ class TestTokenize:
 
     def test_case_and_width_folding(self):
         assert tokenize("Refund") == tokenize("refund") == tokenize("ＲＥＦＵＮＤ")
+
+    # Tokens of a run of three of each character at the edges of the CJK
+    # ranges U+3400-U+9FFF and U+F900-U+FAFF. NFKC turns U+33FF into "gal",
+    # U+F900 into U+8C48 and U+FB00 into "ff"; U+F8FF and U+FAFF are not
+    # word characters.
+    EDGES = {
+        0x33FF: {"galgalgal"},
+        0x3400: {"\u3400" * 2, "\u3400" * 3},
+        0x9FFF: {"\u9fff" * 2, "\u9fff" * 3},
+        0xA000: {"\ua000" * 3},
+        0xF8FF: set(),
+        0xF900: {"\u8c48" * 2, "\u8c48" * 3},
+        0xFAFF: set(),
+        0xFB00: {"ffffff"},
+    }
+
+    @pytest.mark.parametrize("codepoint", EDGES, ids=lambda c: f"U+{c:04X}")
+    def test_cjk_range_edges(self, codepoint):
+        char = chr(codepoint)
+        assert tokenize(f"x {char * 3} y") == {"x", "y"} | self.EDGES[codepoint]
+        cjk = 0x3400 <= codepoint <= 0x9FFF or 0xF900 <= codepoint <= 0xFAFF
+        assert bool(re.fullmatch(_CJK, char)) is cjk  # the class itself, before NFKC
 
 
 class TestMockProposals:

@@ -229,11 +229,13 @@ def test_mock_and_stub_stages_never_import_requests(workspace):
         "from rulesmith.cli import main\n"
         "status = [main(argv) for argv in json.loads(sys.argv[1])]\n"
         "print(json.dumps({'status': status, 'requests': 'requests' in sys.modules,\n"
-        "                  'http.client': 'http.client' in sys.modules}))\n",
+        "                  'http.client': 'http.client' in sys.modules,\n"
+        "                  'concurrent.futures': 'concurrent.futures' in sys.modules}))\n",
         json.dumps([[str(a) for a in stage] for stage in stages]),
     )
     assert json.loads(out.splitlines()[-1]) == {
-        "status": [0, 0, 0], "requests": False, "http.client": False
+        "status": [0, 0, 0], "requests": False, "http.client": False,
+        "concurrent.futures": False,  # only a remote classifier prefetches on a pool
     }
 
 
@@ -783,6 +785,18 @@ def test_predict_writes_run_report(workspace):
 
     for prediction in load_predictions(preds_path):
         assert prediction.label == gold[prediction.sample_id]  # stub:1.0 is perfect
+
+
+def test_a_report_that_cannot_be_written_leaves_no_predictions(workspace, capsys):
+    tmp, train, val, tax = workspace
+    rules, out, report = tmp / "empty.json", tmp / "p.jsonl", tmp / "nodir" / "rep.json"
+    save_rulebase(RuleBase(rules=(), metadata=RuleBaseMetadata(created_at="x")), rules)
+    status = main([str(a) for a in ["predict", "--val", val, "--labels", tax, "--rules", rules,
+                                    "--predictor", "stub:0.9", "--out", out, "--report", report]])
+    assert status == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "OSError"
+    assert not out.exists() and not report.exists()
 
 
 def test_version_flag(capsys):

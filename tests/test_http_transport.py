@@ -16,10 +16,13 @@ from rulesmith import (
     RemoteAgent,
     RemotePredictor,
     RewardEstimate,
+    RuleBase,
+    RuleBaseMetadata,
     Task,
+    predict_batch,
 )
 from rulesmith.agents import AGENT_KEY_ENV, http_chat_transport
-from rulesmith.inference import PREDICTOR_KEY_ENV
+from rulesmith.inference import PREDICTOR_KEY_ENV, PREFETCH
 from _helpers import (
     ScriptedHTTPServer,
     chat_body,
@@ -212,6 +215,24 @@ def test_close_ends_every_threads_connection():
     # Both threads reconnected after the close: four requests, four connections.
     assert len(server.requests) == 4
     assert len(set(_client_ports(server))) == 4
+
+
+def test_a_prefetching_predictor_closes_every_workers_connection():
+    samples = [intent_sample(f"s{i}", None, "我要退货") for i in range(3 * PREFETCH)]
+    reply = chat_body('```json\n{"label": "refund"}\n```')
+    with ScriptedHTTPServer(lambda body: (200, reply), http11=True) as server:
+        predictor = RemotePredictor(server.url, TAX)
+        try:
+            result = predict_batch(
+                RuleBase(rules=(), metadata=RuleBaseMetadata(created_at="x")), predictor, samples
+            )
+        finally:
+            predictor.close()
+    assert [p.label for p in result.predictions] == ["refund"] * len(samples)
+    assert len(server.requests) == len(samples)
+    # The worker threads kept their own connections alive; the CI step that
+    # makes unclosed sockets errors checks that close ended them all.
+    assert len(set(_client_ports(server))) > 1
 
 
 @pytest.mark.parametrize("bypass", [False, True], ids=["proxied", "no-proxy"])

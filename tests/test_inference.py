@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
+import zlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +29,8 @@ from rulesmith import (
     predict_batch,
     save_predictions,
 )
+from rulesmith.agents import RETRIES
+from rulesmith.inference import FAILURE_BUDGET, PREFETCH
 from _helpers import (
     ScriptedTransport,
     build_planted_corpus,
@@ -352,6 +359,187 @@ class TestRemotePredictor:
         with pytest.raises(TypeError):
             predictor.predict(intent_sample("s", None, "x"))
         assert len(calls) == 1
+
+
+class ThreadedClassifier:
+    """A scripted classifier endpoint that worker threads may share.
+
+    It reads the sample id from each request and answers with a label fixed
+    by the id. Ids in ``malformed`` get an unparseable first reply; an id in
+    ``failures`` has that many of its requests raise ``ConnectionError``
+    first. With ``gate``, every request waits for it. ``sent`` records each
+    request as (sample id, calling thread, messages); ``peak`` is the most
+    requests that were in flight at once.
+    """
+
+    LABELS = ("refund", "shipping", "invoice")
+
+    def __init__(self, *, malformed=(), failures=None, gate=None):
+        self.malformed = set(malformed)
+        self.failures = dict(failures or {})
+        self.gate = gate
+        self.sent = []
+        self.in_flight = self.peak = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, messages):
+        sample_id = json.loads(messages[1]["content"].split("Sample: ", 1)[1])["id"]
+        with self._lock:
+            self.sent.append((sample_id, threading.get_ident(), messages))
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            fail = self.failures.get(sample_id, 0) > 0
+            if fail:
+                self.failures[sample_id] -= 1
+        try:
+            if self.gate is not None and not self.gate.wait(timeout=10):
+                raise TimeoutError("the gate never opened")
+            if fail:
+                raise ConnectionError(f"{sample_id} is unreachable")
+            if sample_id in self.malformed and len(messages) == 2:
+                return "It is a refund."
+            label = self.LABELS[zlib.crc32(sample_id.encode()) % len(self.LABELS)]
+            return f'```json\n{{"label": "{label}"}}\n```'
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+    def requests_for(self, sample_id):
+        """(calling thread, messages) of each request about one sample, in order."""
+        return [(thread, messages) for sid, thread, messages in self.sent if sid == sample_id]
+
+
+PREFETCH_CORPUS = build_planted_corpus(["refund", "shipping", "invoice"], per_label=20, seed=6)
+PREFETCH_BASE = base_of(
+    make_rule("r-refund", "refund", [contains(planted_token("refund"))], 0.9),
+    make_rule("r-shipping", "shipping", [contains(planted_token("shipping"))], 0.9),
+)
+
+
+def run_remote(transport, *, serial=False, samples=PREFETCH_CORPUS):
+    """``predict_batch`` with a ``RemotePredictor`` over ``transport``; with
+    ``serial``, the batch sees only its ``predict`` and cannot prefetch."""
+    predictor = RemotePredictor("http://example", TAX, transport=transport)
+    try:
+        target = SimpleNamespace(predict=predictor.predict) if serial else predictor
+        return predict_batch(PREFETCH_BASE, target, samples)
+    finally:
+        predictor.close()
+
+
+class TestPrefetch:
+    """A remote classifier's first attempts are sent ahead on a pool, and the
+    batch still behaves as the serial calls do."""
+
+    def test_predictions_report_and_requests_equal_the_serial_run(self):
+        script = {
+            "malformed": {"refund-003", "invoice-010"},
+            "failures": {"shipping-005": 1, "refund-011": RETRIES, "invoice-002": RETRIES},
+        }
+        serial, prefetched = ThreadedClassifier(**script), ThreadedClassifier(**script)
+        expected = run_remote(serial, serial=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            assert run_remote(prefetched) == expected
+        finally:
+            sys.setswitchinterval(interval)
+        assert expected.report.predictor_failures == 2
+        assert 0 < expected.report.from_rules < expected.report.total
+        for sample in PREFETCH_CORPUS:
+            sent = [messages for _, messages in prefetched.requests_for(sample.id)]
+            assert sent == [messages for _, messages in serial.requests_for(sample.id)]
+
+    def test_every_predict_call_stays_on_the_callers_thread(self):
+        calls = []
+
+        class Recorded(RemotePredictor):
+            def predict(self, sample):
+                calls.append((threading.get_ident(), len(transport.sent)))
+                return super().predict(sample)
+
+        transport = ThreadedClassifier()
+        predictor = Recorded("http://example", TAX, transport=transport)
+        try:
+            predict_batch(PREFETCH_BASE, predictor, PREFETCH_CORPUS)
+        finally:
+            predictor.close()
+        caller = threading.get_ident()
+        assert [thread for thread, _ in calls] == [caller] * len(PREFETCH_CORPUS)
+        # Every request was a prefetched first attempt, sent from a worker
+        # thread, and at most 2 * PREFETCH samples ahead of the caller.
+        assert len(transport.sent) == len(PREFETCH_CORPUS)
+        assert caller not in {thread for _, thread, _ in transport.sent}
+        assert all(sent <= i + 2 * PREFETCH for i, (_, sent) in enumerate(calls))
+
+    def test_a_malformed_first_reply_is_echoed_back_from_the_callers_thread(self):
+        transport = ThreadedClassifier(malformed={"refund-003"})
+        run_remote(transport)
+        [(first_thread, first), (retry_thread, retry)] = transport.requests_for("refund-003")
+        assert first_thread != threading.get_ident() == retry_thread
+        assert retry[:2] == first
+        assert retry[2] == {"role": "assistant", "content": "It is a refund."}
+        assert retry[3]["content"].startswith("Your reply was invalid")
+
+    @pytest.mark.parametrize("failures", [1, RETRIES], ids=["once", "every-attempt"])
+    def test_a_failed_prefetched_attempt_counts_as_attempt_one(self, failures):
+        transport = ThreadedClassifier(failures={"refund-003": failures})
+        result = run_remote(transport)
+        sent = transport.requests_for("refund-003")
+        assert len(sent) == min(failures + 1, RETRIES)
+        caller = threading.get_ident()
+        assert sent[0][0] != caller and all(thread == caller for thread, _ in sent[1:])
+        assert all(messages == sent[0][1] for _, messages in sent)  # resent unchanged
+        assert result.report.predictor_failures == (failures == RETRIES)
+
+    def test_the_failure_budget_aborts_at_the_same_sample_as_the_serial_code(self):
+        failing = [PREFETCH_CORPUS[i].id for i in (3, 17, 31, 44, 52)]
+        errors = []
+        for serial in (True, False):
+            transport = ThreadedClassifier(failures={sample_id: RETRIES for sample_id in failing})
+            with pytest.raises(PredictorError, match="failure budget") as caught:
+                run_remote(transport, serial=serial)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+        assert repr(failing[FAILURE_BUDGET]) in errors[1]
+
+    def test_a_blocking_transport_never_has_more_than_twice_prefetch_in_flight(self):
+        gate = threading.Event()
+        transport = ThreadedClassifier(gate=gate)
+
+        def open_the_gate():
+            deadline = time.monotonic() + 10
+            while transport.in_flight < PREFETCH and time.monotonic() < deadline:
+                time.sleep(0.005)
+            time.sleep(0.1)  # time for requests beyond the bound to arrive
+            gate.set()
+
+        opener = threading.Thread(target=open_the_gate)
+        opener.start()
+        try:
+            run_remote(transport)
+        finally:
+            gate.set()
+            opener.join(timeout=10)
+        assert not opener.is_alive()
+        assert 1 < transport.peak <= 2 * PREFETCH
+
+    @pytest.mark.parametrize("aborted", [False, True], ids=["finished", "aborted"])
+    def test_close_ends_the_worker_threads(self, aborted):
+        before = set(threading.enumerate())
+        failing = PREFETCH_CORPUS[: FAILURE_BUDGET + 1] if aborted else []
+        transport = ThreadedClassifier(failures={sample.id: RETRIES for sample in failing})
+        predictor = RemotePredictor("http://example", TAX, transport=transport)
+        try:
+            if aborted:
+                with pytest.raises(PredictorError, match="failure budget"):
+                    predict_batch(PREFETCH_BASE, predictor, PREFETCH_CORPUS)
+            else:
+                predict_batch(PREFETCH_BASE, predictor, PREFETCH_CORPUS)
+            assert set(threading.enumerate()) - before  # the pool's threads
+        finally:
+            predictor.close()
+        assert not set(threading.enumerate()) - before
 
 
 class TestPredictionFiles:
