@@ -338,10 +338,14 @@ def http_chat_transport(
             local.conn = conn
             with lock:
                 opened.append(conn)
-        elif conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+        elif conn.sock is not None:
             # An idle socket is readable only once the peer has closed it
             # (or sent what no request asked for): reconnect, spending no attempt.
-            conn.close()
+            # poll, unlike select, takes a descriptor past FD_SETSIZE (1024).
+            idle = select.poll()
+            idle.register(conn.sock, select.POLLIN)
+            if idle.poll(0):
+                conn.close()
         return conn
 
     def send(messages: list[dict[str, str]]) -> str:
@@ -355,8 +359,13 @@ def http_chat_transport(
         conn = connection()
         try:
             conn.request("POST", target, payload, headers)
-            response = conn.getresponse()
-            raw = response.read()
+            # Closed here: a reply that ends the connection holds its socket.
+            with conn.getresponse() as response:
+                # In pieces, so that a huge declared size costs no allocation
+                # of that size: the peer's close ends it as an IncompleteRead.
+                raw = b"".join(iter(lambda: response.read(1 << 16), b""))
+                if response.length:  # the peer closed before the declared end
+                    raise http.client.IncompleteRead(raw, response.length)
             if not 200 <= response.status < 300:
                 raise ConnectionError(f"HTTP {response.status} {response.reason} from {endpoint}")
             body = json.loads(raw)
@@ -395,18 +404,12 @@ def close_connections(holder: object) -> None:
         close()
 
 
-def first_messages(system: str, user: str) -> list[dict[str, str]]:
-    """The conversation of a structured call's first attempt."""
-    return [{"role": "system", "content": system}, {"role": "user", "content": user}]
-
-
 def structured_call(send: Transport, system: str, user: str, parse: Callable[[str], T]) -> T:
     """Send a system and a user message until ``parse`` accepts the reply,
     at most ``RETRIES`` times.
 
     This is the one place that builds a chat conversation, for the agent
-    and the classifier alike: the system message, then the user message
-    (``first_messages``, which a prefetched first attempt uses too). A
+    and the classifier alike: the system message, then the user message. A
     reply that ``parse`` rejects with ``AgentProtocolError`` is retried with
     that reply appended as an assistant turn and the parse error as a user
     turn; a transport failure is retried with the conversation unchanged. A
@@ -418,7 +421,7 @@ def structured_call(send: Transport, system: str, user: str, parse: Callable[[st
     """
 
     last_error: AgentError  # RETRIES >= 1, so the loop always sets it
-    conversation = first_messages(system, user)
+    conversation = [{"role": "system", "content": system}, {"role": "user", "content": user}]
     for attempt in range(1, RETRIES + 1):
         try:
             content = send(conversation)

@@ -20,7 +20,6 @@ from .agents import (
     _stable_rng,
     close_connections,
     extract_fenced_json,
-    first_messages,
     http_chat_transport,
     structured_call,
 )
@@ -99,11 +98,10 @@ class StubPredictor:
 class RemotePredictor:
     """Classifier behind a chat-completions endpoint; replies {"label": ...}.
 
-    ``prefetch`` sends the first attempts of upcoming samples ahead of time
-    from ``PREFETCH`` worker threads. ``predict`` still runs on the caller's
-    thread: it takes a prefetched reply only for the sample at the head of
-    the window, and every retry goes through the transport there, so replies
-    and attempts are those of the serial calls.
+    ``prefetch`` runs the whole calls of upcoming samples, retries included,
+    ahead of time on ``PREFETCH`` worker threads. ``predict`` still runs on
+    the caller's thread: it takes the result of the sample at the head of
+    the window, and classifies any other sample itself.
     """
 
     _SYSTEM = (
@@ -117,7 +115,7 @@ class RemotePredictor:
         self.taxonomy = taxonomy
         self._transport = transport or http_chat_transport(endpoint, api_key_env=PREDICTOR_KEY_ENV)
         self._pool: ThreadPoolExecutor | None = None
-        # Prefetched samples in order, each with its first reply; then those still to send.
+        # Prefetched samples in order, each with its label to come; then those still to send.
         self._window: deque[tuple[DialogueSample, Future[str]]] = deque()
         self._upcoming: Iterator[DialogueSample] = iter(())
 
@@ -130,13 +128,13 @@ class RemotePredictor:
 
     def _drop_window(self) -> None:
         for _, future in self._window:
-            future.cancel()  # a request already sent runs to its end
+            future.cancel()  # a call already started runs to its end
         self._window.clear()
         self._upcoming = iter(())
 
     def prefetch(self, samples: Iterable[DialogueSample]) -> None:
-        """Send the first attempts of ``samples``, in order, ahead of ``predict``,
-        keeping at most ``2 * PREFETCH`` of them outstanding."""
+        """Classify ``samples``, in order, ahead of ``predict``, keeping at
+        most ``2 * PREFETCH`` of them outstanding."""
         from concurrent.futures import ThreadPoolExecutor
 
         self._drop_window()
@@ -149,11 +147,16 @@ class RemotePredictor:
     def _send_next(self) -> None:
         sample = next(self._upcoming, None)
         if sample is not None:
-            messages = first_messages(self._SYSTEM, self._prompt(sample)[1])
-            self._window.append((sample, self._pool.submit(self._transport, messages)))
+            self._window.append((sample, self._pool.submit(self._classify, sample)))
 
-    def _prompt(self, sample: DialogueSample) -> tuple[tuple[str, ...], str]:
-        """The sample's allowed labels, and the user message that lists them."""
+    def predict(self, sample: DialogueSample) -> str:
+        if not (self._window and self._window[0][0] is sample):
+            return self._classify(sample)
+        future = self._window.popleft()[1]
+        self._send_next()
+        return future.result()
+
+    def _classify(self, sample: DialogueSample) -> str:
         labels = self.taxonomy.labels_for(sample.task)
         record = sample_to_record(sample)
         record.pop("gold_label", None)
@@ -161,14 +164,6 @@ class RemotePredictor:
             f"Allowed labels: {', '.join(labels)}\n"
             f"Sample: {json.dumps(record, ensure_ascii=False)}"
         )
-        return labels, user
-
-    def predict(self, sample: DialogueSample) -> str:
-        labels, user = self._prompt(sample)
-        send = self._transport
-        if self._window and self._window[0][0] is sample:
-            send = _first_reply_from(self._window.popleft()[1], send)
-            self._send_next()
 
         def parse(content: str) -> str:
             fields = Fields(extract_fenced_json(content), AgentProtocolError)
@@ -178,22 +173,11 @@ class RemotePredictor:
             return label
 
         try:
-            return structured_call(send, self._SYSTEM, user, parse)
+            return structured_call(self._transport, self._SYSTEM, user, parse)
         except AgentError as exc:
             raise PredictorError(
                 f"predictor failed for sample {sample.id!r}: {exc}"
             ) from exc
-
-
-def _first_reply_from(future: Future[str], transport: Transport) -> Transport:
-    """A transport whose first call returns ``future``'s reply, or raises its
-    error, and whose later calls go through ``transport``."""
-    pending = [future]
-
-    def send(messages: list[dict[str, str]]) -> str:
-        return pending.pop().result() if pending else transport(messages)
-
-    return send
 
 
 def _fired_rules(rulebase: RuleBase, samples: Sequence[DialogueSample]) -> list[list[Rule]]:
