@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
+from contextlib import suppress
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -55,22 +57,14 @@ from .rulebase import (
 )
 
 
-def _digest_file(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _digest_config(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
-
-
 def _metadata(train_path: str, config: dict, seed: int | None) -> RuleBaseMetadata:
     # A fixed seed promises bit-identical output files, so the timestamp
     # must not come from the wall clock in that case.
     created = EPOCH_ISO if seed is not None else datetime.now(timezone.utc).isoformat()
     return RuleBaseMetadata(
         created_at=created,
-        dataset_digest=_digest_file(train_path),
-        config_digest=_digest_config(config),
+        dataset_digest=hashlib.sha256(Path(train_path).read_bytes()).hexdigest(),
+        config_digest=hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
     )
 
 
@@ -99,7 +93,7 @@ def _build_predictor(spec: str, taxonomy, seed: int | None) -> Predictor:
     return RemotePredictor(_endpoint(spec, "--predictor", "'stub:<accuracy>'"), taxonomy)
 
 
-def _cmd_rephrase(args: argparse.Namespace) -> int:
+def _cmd_rephrase(args: argparse.Namespace) -> dict:
     taxonomy = load_taxonomy(args.labels)
     train = load_dataset(args.train, taxonomy)
     agent = _build_agent(args.agent, train, args.seed, noise=0.0)
@@ -108,11 +102,10 @@ def _cmd_rephrase(args: argparse.Namespace) -> int:
     finally:
         close_connections(agent)
     print(f"wrote {len(generated)} validation samples to {args.out}")
-    save_dataset(generated, args.out)
-    return 0
+    return {args.out: lambda path: save_dataset(generated, path)}
 
 
-def _cmd_induce(args: argparse.Namespace) -> int:
+def _cmd_induce(args: argparse.Namespace) -> dict:
     taxonomy = load_taxonomy(args.labels)
     train = load_dataset(args.train, taxonomy)
     validation = load_dataset(args.val, taxonomy)
@@ -141,20 +134,19 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     finally:
         close_connections(agent)
 
-    config_digest_input = {
-        "iterations": args.iterations,
-        "proposals": args.proposals,
-        "seed": args.seed,
-        "noise": args.noise,
-        "agent": args.agent,
-    }
+    spec = args.agent
+    if spec != "mock":  # the endpoint's scheme and path, not its host and port
+        from urllib.parse import urlsplit
+
+        spec = urlsplit(spec)._replace(netloc="").geturl()
+    config_digest_input = {"iterations": args.iterations, "proposals": args.proposals,
+                           "seed": args.seed, "noise": args.noise, "agent": spec}
     base = RuleBase.build(harvested, _metadata(args.train, config_digest_input, args.seed))
     print(f"wrote {len(base.rules)} rules to {args.out}")
-    save_rulebase(base, args.out)
-    return 0
+    return {args.out: lambda path: save_rulebase(base, path)}
 
 
-def _cmd_filter(args: argparse.Namespace) -> int:
+def _cmd_filter(args: argparse.Namespace) -> dict:
     check_ratio("min_precision", args.min_precision)  # with or without --val
     check_at_least("min_support", args.min_support, 0)
     if args.val and not args.labels:
@@ -177,11 +169,10 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     filtered = RuleBase.build(rules, base.metadata)
     dropped = f" ({dropped_online} failed online validation)" if args.val else ""
     print(f"kept {len(filtered.rules)} of {len(base.rules)} rules{dropped}")
-    save_rulebase(filtered, args.out)
-    return 0
+    return {args.out: lambda path: save_rulebase(filtered, path)}
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
+def _cmd_predict(args: argparse.Namespace) -> dict:
     taxonomy = load_taxonomy(args.labels)
     samples = load_dataset(args.val, taxonomy)
     base = load_rulebase(args.rules)
@@ -193,30 +184,47 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         close_connections(predictor)
     print(f"wrote {len(result.predictions)} predictions to {args.out}")
     print(json.dumps(asdict(result.report)))
-    save_predictions(result.predictions, args.out)
-    if args.report:
-        try:
-            write_json(args.report, asdict(result.report))
-        except OSError:  # exit 1 leaves no output file
-            Path(args.out).unlink(missing_ok=True)
-            raise
-    return 0
+    outputs = {args.out: lambda path: save_predictions(result.predictions, path)}
+    if args.report:  # the same path as --out: the report wins
+        outputs[args.report] = lambda path: write_json(path, asdict(result.report))
+    return outputs
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> dict:
     taxonomy = load_taxonomy(args.labels)
     samples = load_dataset(args.val, taxonomy)
     predictions = load_predictions(args.pred)
     report = evaluate(predictions, samples, taxonomy)
     print(format_report(report_to_dict(report)))
-    if args.report:
-        save_report(report, args.report)
-    return 0
+    return {args.report: lambda path: save_report(report, path)} if args.report else {}
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> dict:
     print(format_report(load_report(args.report)))
-    return 0
+    return {}
+
+
+def _commit(outputs: dict) -> None:
+    """Write all of ``outputs``, ``{destination: saver}``, or none: each saver
+    writes a hidden temporary beside its destination, and the temporaries
+    replace their destinations only once every saver has returned."""
+    temps: list[Path] = []
+    replaced: list[str] = []
+    try:
+        for i, (destination, save) in enumerate(outputs.items()):
+            path = Path(destination)
+            temps.append(path.parent / f".{path.name}.{os.getpid()}.{i}.tmp")
+            save(temps[-1])
+        for destination, temp in zip(outputs, temps):
+            os.replace(temp, destination)
+            replaced.append(destination)
+    except OSError as exc:  # name the destination, not its temporary
+        raise exc if exc.filename is None else OSError(exc.errno, exc.strerror, destination)
+    finally:
+        if len(replaced) < len(outputs):  # any exception, KeyboardInterrupt too
+            for path in temps + replaced:
+                with suppress(OSError):
+                    os.remove(path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,9 +298,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    # UnicodeEncodeError: stdout cannot encode a label or path. Every stage prints
-    # before it writes, so none leaves a file. Any other exception is a bug.
+        _commit(args.func(args))
+        return 0
+    # UnicodeEncodeError: stdout cannot encode a label or path. Anything else is a bug.
     except (RulesmithError, OSError, UnicodeEncodeError) as exc:
         name = "OSError" if isinstance(exc, OSError) else type(exc).__name__
         print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)

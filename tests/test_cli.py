@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import sys
+import threading
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from rulesmith import (
     LabelTaxonomy,
@@ -26,12 +29,14 @@ from rulesmith import (
 )
 from rulesmith.cli import main
 from _helpers import (
+    RawReplyServer,
     ScriptedHTTPServer,
     build_planted_corpus,
     build_two_task_corpus,
     chat_body,
     contains,
     make_rule,
+    raw_replies,
     run_python,
 )
 
@@ -526,6 +531,66 @@ def test_agent_reward_past_float_range_is_a_protocol_error(workspace, capsys, no
     assert last["error"] == "AgentProtocolError"
     assert "field 'reward'" in last["message"]
     assert not out.exists()
+
+
+def test_induce_against_endpoints_on_other_ports_writes_the_same_rules(workspace, no_proxy):
+    """The rule base's config digest names the agent endpoint by its scheme
+    and path, so the port the endpoint listens on leaves no trace in it."""
+    tmp, train, val, tax = workspace
+    payload = {"predicates": ['any_text contains "plantedrefund"'], "reward": 0.9,
+               "confidence": 0.8}
+    reply = chat_body(f"```json\n{json.dumps(payload)}\n```")
+    with ScriptedHTTPServer(lambda body: (200, reply)) as one, \
+            ScriptedHTTPServer(lambda body: (200, reply)) as other:
+        assert one.url != other.url
+        outs = []
+        for n, server in enumerate((one, other)):
+            outs.append(tmp / f"rules{n}.json")
+            assert main([str(a) for a in [
+                "induce", "--train", train, "--val", val, "--labels", tax, "--agent", server.url,
+                "--iterations", "3", "--seed", "7", "--out", outs[-1]]]) == 0
+    assert load_rulebase(outs[0]).rules
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_any_raw_reply_to_predict_ends_in_exit_0_or_a_structured_error(tmp_path, no_proxy):
+    """Whatever bytes the classifier endpoint answers with, ``predict`` exits
+    0 or 1; after exit 1 it has written nothing, and no worker thread of the
+    classifier's pool outlives the run."""
+    samples = build_planted_corpus(LABELS, per_label=3, seed=1)[:5]  # past the failure budget
+    inputs, out_dir = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    out_dir.mkdir()
+    val, tax, rules = inputs / "val.jsonl", inputs / "labels.json", inputs / "rules.json"
+    save_dataset(samples, val)
+    save_taxonomy(LabelTaxonomy(intent=tuple(LABELS), image_scene=()), tax)
+    save_rulebase(RuleBase.build([make_rule("r", "refund", [contains("plantedrefund")], 0.9)]),
+                  rules)
+    out, report = out_dir / "preds.jsonl", out_dir / "report.json"
+
+    with RawReplyServer() as server:
+
+        @settings(max_examples=50, deadline=None)
+        @given(reply=raw_replies())
+        def check(reply: bytes) -> None:
+            server.reply = reply
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                status = main([str(a) for a in [
+                    "predict", "--val", val, "--labels", tax, "--rules", rules,
+                    "--predictor", server.url, "--out", out, "--report", report]])
+            assert status in (0, 1)
+            if status == 1:
+                error = json.loads(stderr.getvalue().strip().splitlines()[-1])
+                assert set(error) == {"error", "message"}
+                assert not out.exists() and not report.exists()
+            assert not list(out_dir.glob(".*.tmp"))
+            workers = [t for t in threading.enumerate() if t.name.startswith("rulesmith-predict")]
+            assert not workers
+            out.unlink(missing_ok=True)
+            report.unlink(missing_ok=True)
+
+        check()
 
 
 def _predictions_for(val, edit):

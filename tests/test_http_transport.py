@@ -7,11 +7,10 @@ import os
 import socket
 import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from rulesmith import (
     AgentContext,
@@ -30,11 +29,13 @@ from rulesmith.agents import AGENT_KEY_ENV, extract_fenced_json, http_chat_trans
 from rulesmith.errors import AgentError
 from rulesmith.inference import PREDICTOR_KEY_ENV, PREFETCH
 from _helpers import (
+    RawReplyServer,
     ScriptedHTTPServer,
     chat_body,
     contains,
     intent_sample,
     make_rule,
+    raw_replies,
     run_python,
     taxonomy_for,
 )
@@ -259,99 +260,6 @@ def test_a_kept_alive_connection_on_a_high_descriptor_is_reused():
             handle.close()
     assert len(server.requests) == 2
     assert len(set(_client_ports(server))) == 1
-
-
-class RawReplyServer(HTTPServer):
-    """Loopback endpoint that answers every request with the raw bytes in
-    ``reply``, then closes the connection. As a context manager it serves
-    from one thread, one connection at a time, until the block ends."""
-
-    reply = b""
-
-    def __init__(self) -> None:
-        server = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self) -> None:
-                self.rfile.read(int(self.headers["Content-Length"]))
-                self.wfile.write(server.reply)
-
-            def log_message(self, format, *args) -> None:
-                pass
-
-        super().__init__(("127.0.0.1", 0), Handler)
-        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1/chat/completions"
-
-    def __enter__(self) -> RawReplyServer:
-        threading.Thread(
-            target=self.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-        ).start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-        self.server_close()
-
-
-# Sizes a reply may declare: small and wrong, or too large for any buffer.
-WRONG_SIZES = st.one_of(st.integers(0, 300), st.integers(2**62, 2**80))
-STATUS_LINES = st.one_of(
-    st.sampled_from([
-        b"HTTP/1.1 200 OK", b"HTTP/1.0 200 OK", b"HTTP/1.1 204 No Content",
-        b"HTTP/1.1 500 Internal Server Error", b"HTTP/1.1 302 Found",
-        b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK",
-    ]),
-    st.builds(
-        b"%s %d %s".__mod__,
-        st.tuples(
-            st.sampled_from([b"HTTP/1.1", b"HTTP/1.0", b"HTTP/2", b"ICY"]),
-            st.integers(-1, 1000),
-            st.binary(max_size=12),
-        ),
-    ),
-    st.binary(max_size=30),
-)
-HEADERS = st.lists(
-    st.one_of(
-        st.sampled_from([
-            b"Transfer-Encoding: chunked", b"Connection: close", b"Connection: keep-alive",
-            b"Content-Type: application/json", b"Content-Encoding: gzip",
-        ]),
-        st.binary(max_size=30),
-    ),
-    max_size=3,
-)
-REPLY_JSON = chat_body('```json\n{"label": "refund"}\n```').encode()
-
-
-@st.composite
-def chunked(draw, payload: bytes) -> bytes:
-    """``payload`` in chunks whose declared sizes may be wrong, perhaps unterminated."""
-    cuts = sorted(draw(st.lists(st.integers(0, len(payload)), max_size=3)))
-    out = b""
-    for start, end in zip([0, *cuts], [*cuts, len(payload)]):
-        size = draw(st.one_of(st.just(end - start), WRONG_SIZES))
-        out += b"%x\r\n%s\r\n" % (size, payload[start:end])
-    return out + draw(st.sampled_from([b"0\r\n\r\n", b"0\r\n", b"", b"zz\r\n"]))
-
-
-@st.composite
-def raw_replies(draw) -> bytes:
-    """A status line, a header block and a body, each well formed or not, perhaps cut short."""
-    payload = draw(st.one_of(
-        st.just(REPLY_JSON),
-        st.binary(max_size=120),
-        # Bytes that are not UTF-8 inside an otherwise valid reply.
-        st.binary(min_size=1, max_size=4).map(lambda b: REPLY_JSON[:20] + b"\xff" + b + REPLY_JSON[20:]),
-    ))
-    if draw(st.booleans()):
-        body, headers = draw(chunked(payload)), [b"Transfer-Encoding: chunked"]
-    else:
-        length = draw(st.one_of(st.none(), st.just(len(payload)), WRONG_SIZES))
-        body, headers = payload, [] if length is None else [b"Content-Length: %d" % length]
-    headers += draw(HEADERS)  # http.client heeds the first Content-Length
-    reply = draw(STATUS_LINES) + b"\r\n" + b"".join(h + b"\r\n" for h in headers) + b"\r\n" + body
-    return reply[: draw(st.integers(0, len(reply)))] if draw(st.booleans()) else reply
 
 
 def test_any_raw_reply_ends_in_a_label_or_an_agent_error():

@@ -1,0 +1,89 @@
+"""Metamorphic properties of the chain, run through ``cli.main``.
+
+The benchmark's tiny induce-mock chain is built once. Each example draws
+permutations of its input files and runs a stage again on them. Record order
+carries no meaning in any input, so:
+
+- ``filter`` run again on ``filtered.json``, with the validation set in any
+  order, writes ``filtered.json`` byte for byte;
+- ``predict`` on ``test.jsonl`` in any order writes the same prediction
+  lines, as a multiset, and the same ``--report`` bytes;
+- ``eval`` on the prediction file in any order writes the same report.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib
+import io
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rulesmith.cli import main
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """The tiny chain's stage arguments, after one run that wrote every output."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(BENCH_DIR))
+        run = importlib.import_module("run")
+    workload = run.WORKLOADS["induce-mock"]
+    directory = tmp_path_factory.mktemp("chain")
+    setup = run.set_up(workload, run.TINY_SHAPE, 3, directory / "inputs")
+    out = directory / "out"
+    out.mkdir()
+    stages = run.stage_args(workload, run.TINY_ITERATIONS, setup, out)
+    for stage, args in stages.items():
+        assert main([stage, *args]) == 0, stage
+    return {stage: dict(zip(args[::2], args[1::2])) for stage, args in stages.items()}
+
+
+def shuffled(data, source: str, scratch: Path) -> str:
+    """A copy of the JSONL file ``source`` in ``scratch``, its lines in a drawn order."""
+    lines = Path(source).read_text(encoding="utf-8").splitlines(keepends=True)
+    copy = scratch / f"shuffled-{Path(source).name}"
+    copy.write_text("".join(data.draw(st.permutations(lines))), encoding="utf-8")
+    return str(copy)
+
+
+def rerun(stage: str, options: dict[str, str]) -> None:
+    argv = [stage]
+    for flag, value in options.items():
+        argv += [flag, value]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, stage
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_record_order_changes_no_output(chain, data):
+    with tempfile.TemporaryDirectory() as name:
+        scratch = Path(name)
+        filtered = chain["filter"]["--out"]
+        rerun("filter", {**chain["filter"], "--rules": filtered,
+                         "--val": shuffled(data, chain["filter"]["--val"], scratch),
+                         "--out": str(scratch / "filtered.json")})
+        assert (scratch / "filtered.json").read_bytes() == Path(filtered).read_bytes()
+
+        predict = chain["predict"]
+        rerun("predict", {**predict, "--val": shuffled(data, predict["--val"], scratch),
+                          "--out": str(scratch / "preds.jsonl"),
+                          "--report": str(scratch / "predict_report.json")})
+        lines = [Counter(Path(p).read_text(encoding="utf-8").splitlines())
+                 for p in (predict["--out"], scratch / "preds.jsonl")]
+        assert lines[0] == lines[1]
+        assert (scratch / "predict_report.json").read_bytes() == \
+            Path(predict["--report"]).read_bytes()
+
+        evaluate = chain["eval"]
+        rerun("eval", {**evaluate, "--pred": shuffled(data, evaluate["--pred"], scratch),
+                       "--report": str(scratch / "report.json")})
+        assert (scratch / "report.json").read_bytes() == Path(evaluate["--report"]).read_bytes()
