@@ -14,7 +14,6 @@ import os
 import sys
 from contextlib import suppress
 from dataclasses import asdict
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
@@ -60,7 +59,12 @@ from .rulebase import (
 def _metadata(train_path: str, config: dict, seed: int | None) -> RuleBaseMetadata:
     # A fixed seed promises bit-identical output files, so the timestamp
     # must not come from the wall clock in that case.
-    created = EPOCH_ISO if seed is not None else datetime.now(timezone.utc).isoformat()
+    if seed is None:
+        from datetime import datetime, timezone
+
+        created = datetime.now(timezone.utc).isoformat()
+    else:
+        created = EPOCH_ISO
     return RuleBaseMetadata(
         created_at=created,
         dataset_digest=hashlib.sha256(Path(train_path).read_bytes()).hexdigest(),

@@ -247,9 +247,11 @@ def write_json(path: str | Path, doc: object) -> None:
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """Write one compact UTF-8 JSON object per line."""
+    # ``json.dumps`` with any non-default argument builds a new encoder per call.
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     with Path(path).open("w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            handle.write(encode(record) + "\n")
 
 
 def load_taxonomy(path: str | Path) -> LabelTaxonomy:
@@ -274,15 +276,15 @@ def _parse_record(fields: Fields, taxonomy: LabelTaxonomy) -> DialogueSample:
     """The dataset record that ``fields`` points at; ``load_dataset`` puts the
     line number in front of every error message."""
     record = fields.record
-    unknown = set(record) - _SAMPLE_FIELDS
-    if unknown:
-        raise DatasetError(f"unknown field {sorted(unknown)[0]!r}")
+    # Key views compare with a set in place, so a valid record allocates no set.
+    if not record.keys() <= _SAMPLE_FIELDS:
+        raise DatasetError(f"unknown field {min(record.keys() - _SAMPLE_FIELDS)!r}")
     sample_id = fields.text("id", empty=False)
     task = fields.choice("task", Task)
     turns_raw, turns = fields.array("turns"), []
     try:
         for i, turn in enumerate(turns_raw):
-            if not isinstance(turn, dict) or set(turn) != _TURN_FIELDS:
+            if not isinstance(turn, dict) or turn.keys() != _TURN_FIELDS:
                 raise DatasetError("must be an object with speaker and text")
             fields.record = turn
             turns.append(Turn(fields.choice("speaker", Speaker), fields.text("text")))

@@ -24,7 +24,7 @@ from .agents import (
     structured_call,
 )
 from .dataset import (
-    DialogueSample, Fields, LabelTaxonomy, read_jsonl, sample_to_record, write_jsonl
+    DialogueSample, Fields, LabelTaxonomy, Task, read_jsonl, sample_to_record, write_jsonl
 )
 from .errors import AgentError, AgentProtocolError, PredictionFileError, PredictorError, check_ratio
 from .predicate import Rule, SampleIndex
@@ -89,10 +89,14 @@ class StubPredictor:
         if not labels:
             raise PredictorError(f"no labels configured for task {sample.task.value}")
         rng = _stable_rng(self.seed, sample.id)
-        if sample.gold_label is not None and rng.random() < self.accuracy:
-            return sample.gold_label
-        wrong = [l for l in labels if l != sample.gold_label] or list(labels)
-        return wrong[rng.randrange(len(wrong))]
+        gold = sample.gold_label
+        if gold is not None and rng.random() < self.accuracy:
+            return gold
+        if gold in labels and len(labels) > 1:
+            # The draw indexes the labels other than the gold one, in taxonomy order.
+            drawn = rng.randrange(len(labels) - 1)
+            return labels[drawn + (drawn >= labels.index(gold))]
+        return labels[rng.randrange(len(labels))]
 
 
 class RemotePredictor:
@@ -186,16 +190,24 @@ def _fired_rules(rulebase: RuleBase, samples: Sequence[DialogueSample]) -> list[
     Ordering: reward descending, then predicate count descending (more
     specific first), then id ascending. Rules are visited in that order and
     each is appended to the samples its bitset holds, so every list comes
-    out sorted.
+    out sorted. A rule is matched only on the index of its own task's
+    samples, whose bit i stands for the batch position ``positions[task][i]``.
     """
 
-    index = SampleIndex(samples)
-    fired: list[list[Rule]] = [[] for _ in index]
+    positions: dict[Task, list[int]] = {}
+    for i, sample in enumerate(samples):
+        positions.setdefault(sample.task, []).append(i)
+    indexes = {task: SampleIndex(samples[i] for i in at) for task, at in positions.items()}
+    fired: list[list[Rule]] = [[] for _ in samples]
     for rule in sorted(rulebase.rules, key=lambda r: (-r.reward, -len(r.predicates), r.id)):
+        index = indexes.get(rule.task)
+        if index is None:
+            continue
+        at = positions[rule.task]
         mask = index.rule_mask(rule)
         while mask:
             lowest = mask & -mask
-            fired[lowest.bit_length() - 1].append(rule)
+            fired[at[lowest.bit_length() - 1]].append(rule)
             mask ^= lowest
     return fired
 

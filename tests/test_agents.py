@@ -272,6 +272,23 @@ class TestRemoteAgent:
         with pytest.raises(AgentProtocolError, match="exactly one fenced block"):
             agent.propose_predicates(self.make_ctx(), k=3)
 
+    def test_a_fenced_json_array_is_a_protocol_error(self):
+        reply = fenced('[{"predicates": []}]')
+        transport = ScriptedTransport([reply] * 3)
+        agent = RemoteAgent("http://example", transport=transport)
+        with pytest.raises(AgentProtocolError, match="fenced block must contain a JSON object"):
+            agent.propose_predicates(self.make_ctx(), k=3)
+        assert len(transport.conversations) == 3
+
+    def test_a_non_string_proposal_is_a_protocol_error_naming_the_field(self):
+        reply = fenced('{"predicates": ["any_text contains \\"退货\\"", 7]}')
+        transport = ScriptedTransport([reply] * 3)
+        agent = RemoteAgent("http://example", transport=transport)
+        with pytest.raises(AgentProtocolError,
+                           match="field 'predicates' must be an array of strings"):
+            agent.propose_predicates(self.make_ctx(), k=3)
+        assert "must be an array of strings" in transport.conversations[-1][-1]["content"]
+
     def test_rephrase_returns_reply_verbatim_modulo_surrounding_whitespace(self):
         transport = ScriptedTransport(["  请问如何退货？ \n"])
         agent = RemoteAgent("http://example", transport=transport)

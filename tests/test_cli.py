@@ -593,6 +593,50 @@ def test_any_raw_reply_to_predict_ends_in_exit_0_or_a_structured_error(tmp_path,
         check()
 
 
+@pytest.mark.parametrize("command", ["rephrase", "induce"])
+def test_any_raw_reply_to_the_agent_ends_in_exit_0_or_a_structured_error(
+    tmp_path, no_proxy, command
+):
+    """Whatever bytes the agent endpoint answers with, ``rephrase`` and
+    ``induce`` exit 0 or 1; after exit 1 they have written nothing, and no
+    thread they started outlives the run."""
+    split = stratified_split(build_planted_corpus(LABELS, per_label=4, seed=1), 0.5, seed=1)
+    inputs, out_dir = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    out_dir.mkdir()
+    train, val, tax = inputs / "train.jsonl", inputs / "val.jsonl", inputs / "labels.json"
+    save_dataset(split.train[:2], train)
+    save_dataset(split.validation, val)
+    save_taxonomy(LabelTaxonomy(intent=tuple(LABELS), image_scene=()), tax)
+    out = out_dir / "out"
+    options = {
+        "rephrase": ["--train", train],
+        "induce": ["--train", train, "--val", val, "--iterations", 2],
+    }[command]
+
+    with RawReplyServer() as server:
+
+        @settings(max_examples=50, deadline=None)
+        @given(reply=raw_replies())
+        def check(reply: bytes) -> None:
+            server.reply = reply
+            threads = set(threading.enumerate())
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                status = main([str(a) for a in [
+                    command, *options, "--labels", tax, "--agent", server.url, "--out", out]])
+            assert status in (0, 1)
+            if status == 1:
+                error = json.loads(stderr.getvalue().strip().splitlines()[-1])
+                assert set(error) == {"error", "message"}
+                assert not out.exists()
+            assert not list(out_dir.glob(".*.tmp"))
+            assert set(threading.enumerate()) <= threads
+            out.unlink(missing_ok=True)
+
+        check()
+
+
 def _predictions_for(val, edit):
     """Prediction lines for ``edit`` applied to the list of gold sample ids."""
     taxonomy = LabelTaxonomy(intent=tuple(LABELS), image_scene=())

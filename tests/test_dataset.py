@@ -9,6 +9,7 @@ import pytest
 from rulesmith import (
     AgentUnavailableError,
     DatasetError,
+    DatasetSplit,
     DialogueSample,
     LabelTaxonomy,
     Speaker,
@@ -94,6 +95,34 @@ class TestLoadDataset:
         path = tmp_path / "extra.jsonl"
         write_lines(path, [good_record(bogus=1)])
         with pytest.raises(DatasetError, match="bogus"):
+            load_dataset(path, TAX)
+
+    def test_of_several_unknown_fields_the_first_in_sorted_order_is_named(self, tmp_path):
+        path = tmp_path / "extra.jsonl"
+        write_lines(path, [good_record(zeta=1, alpha=2)])
+        with pytest.raises(DatasetError, match="line 1: unknown field 'alpha'"):
+            load_dataset(path, TAX)
+
+    @pytest.mark.parametrize(
+        "turn",
+        [{"speaker": "user"}, {"speaker": "user", "text": "hi", "lang": "en"}, ["user", "hi"]],
+        ids=["missing-key", "extra-key", "not-an-object"],
+    )
+    def test_a_turn_needs_exactly_speaker_and_text(self, tmp_path, turn):
+        path = tmp_path / "turns.jsonl"
+        write_lines(path, [good_record(turns=[{"speaker": "user", "text": "hi"}, turn])])
+        with pytest.raises(
+            DatasetError, match="line 1: turns entry 1: must be an object with speaker and text"
+        ):
+            load_dataset(path, TAX)
+
+    def test_blank_lines_are_skipped_and_later_errors_keep_their_line_number(self, tmp_path):
+        path = tmp_path / "blanks.jsonl"
+        lines = [json.dumps(good_record()), "", "   \t", json.dumps(good_record(id="s2"))]
+        path.write_text("\n".join(lines) + "\n\n")
+        assert [s.id for s in load_dataset(path, TAX)] == ["s1", "s2"]
+        path.write_text("\n".join(lines + [json.dumps(good_record(id="s3", task="video"))]))
+        with pytest.raises(DatasetError, match="^line 5: field 'task'"):
             load_dataset(path, TAX)
 
     def test_intent_sample_needs_a_turn(self, tmp_path):
@@ -252,6 +281,12 @@ class TestStratifiedSplit:
         val_ids = {s.id for s in split.validation}
         assert train_ids | val_ids == {s.id for s in samples}
         assert not train_ids & val_ids
+
+    def test_a_split_whose_sides_share_an_id_is_refused(self):
+        shared = intent_sample("s2", "refund", "x")
+        with pytest.raises(DatasetError, match=r"present in both split sides: \['s2'\]"):
+            DatasetSplit(train=(intent_sample("s1", "refund", "x"), shared),
+                         validation=(shared, intent_sample("s3", "refund", "x")))
 
     def test_per_label_share_within_one_sample(self):
         samples = build_planted_corpus(["a", "b", "c"], per_label=13, seed=5)

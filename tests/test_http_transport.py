@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import json
 import os
 import socket
 import sys
@@ -131,6 +132,18 @@ def test_reply_without_choices_is_retried_as_is_to_the_budget(caller):
     # A malformed envelope carries no reply to echo back: every attempt
     # resends the first conversation unchanged.
     assert all(sent == server.requests[0] for sent in server.requests)
+
+
+def test_reply_content_that_is_not_a_string_is_a_protocol_error():
+    body = json.dumps({"choices": [{"message": {"role": "assistant", "content": ["refund"]}}]})
+    with ScriptedHTTPServer([(200, body)]) as server:
+        send = http_chat_transport(server.url)
+        try:
+            with pytest.raises(AgentProtocolError, match="reply content must be a string"):
+                send(MESSAGES)
+        finally:
+            send.close()
+    assert len(server.requests) == 1
 
 
 def _client_ports(server: ScriptedHTTPServer) -> list[int]:

@@ -10,6 +10,11 @@ occurrences, and needles longer than every text.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,11 +35,17 @@ from rulesmith import (
     Task,
     Turn,
     eval_predicate,
+    load_predictions,
+    load_rulebase,
     measure_rule,
     predict_batch,
+    save_dataset,
+    save_rulebase,
+    save_taxonomy,
 )
 import rulesmith.predicate as predicate
 from rulesmith.agents import MAX_TOKEN_LENGTH, sample_tokens
+from rulesmith.cli import main
 from _helpers import eval_rule
 
 WORDS = [
@@ -132,6 +143,34 @@ def test_predict_batch_fires_the_naive_strongest_match(corpus, rule_list, thresh
         best = min(candidates, key=lambda r: (-r.reward, -len(r.predicates), r.id), default=None)
         expected = best.id if best is not None and best.reward >= threshold else None
         assert prediction.fired_rule_id == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=corpora(), rule_list=rule_lists())
+def test_predict_names_the_first_own_task_rule_that_holds(corpus, rule_list):
+    """``predict`` through the CLI, where ``--override-threshold 0`` lets any
+    fired rule answer: on a batch of both tasks, each prediction names the
+    first rule of its sample's own task, in ``(-reward, -len(predicates), id)``
+    order, whose predicates all hold by ``eval_predicate``; or none."""
+    with tempfile.TemporaryDirectory() as name:
+        scratch = Path(name)
+        paths = {f: str(scratch / f) for f in ("test.jsonl", "labels.json", "rules.json", "p.jsonl")}
+        save_dataset(corpus, paths["test.jsonl"])
+        save_taxonomy(TAXONOMY, paths["labels.json"])
+        save_rulebase(RuleBase.build(rule_list), paths["rules.json"])
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["predict", "--val", paths["test.jsonl"], "--labels", paths["labels.json"],
+                         "--rules", paths["rules.json"], "--predictor", "stub:0.5",
+                         "--override-threshold", "0", "--out", paths["p.jsonl"]]) == 0
+        ranked = sorted(load_rulebase(paths["rules.json"]).rules,
+                        key=lambda r: (-r.reward, -len(r.predicates), r.id))
+        predictions = load_predictions(paths["p.jsonl"])
+    assert [p.sample_id for p in predictions] == [s.id for s in corpus]
+    for sample, prediction in zip(corpus, predictions):
+        first = next(
+            (r.id for r in ranked if r.task is sample.task and eval_rule(r, sample)), None
+        )
+        assert prediction.fired_rule_id == first, sample.id
 
 
 def rescanned_ranking(corpus, task: Task, label: str) -> list[str]:

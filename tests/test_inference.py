@@ -29,7 +29,7 @@ from rulesmith import (
     predict_batch,
     save_predictions,
 )
-from rulesmith.agents import RETRIES
+from rulesmith.agents import RETRIES, _stable_rng
 from rulesmith.inference import FAILURE_BUDGET, PREFETCH
 from _helpers import (
     ScriptedTransport,
@@ -39,6 +39,7 @@ from _helpers import (
     intent_sample,
     make_rule,
     planted_token,
+    scene_sample,
 )
 
 TAX = LabelTaxonomy(
@@ -274,6 +275,35 @@ class TestStubPredictor:
         stub = StubPredictor(TAX, accuracy=0.7, seed=0)
         hits = sum(stub.predict(s) == s.gold_label for s in corpus)
         assert 0.6 < hits / len(corpus) < 0.8
+
+    def test_a_task_without_labels_is_a_predictor_error(self):
+        stub = StubPredictor(LabelTaxonomy(intent=("refund",), image_scene=()), accuracy=0.5)
+        with pytest.raises(PredictorError, match="no labels configured for task image_scene"):
+            stub.predict(scene_sample("s", None, "发票"))
+
+    @pytest.mark.parametrize(
+        "taxonomy",
+        [TAX, LabelTaxonomy(intent=("refund",), image_scene=("receipt", "tracking"))],
+        ids=["several-labels", "gold-label-alone"],
+    )
+    def test_a_miss_draws_from_the_list_of_wrong_labels(self, taxonomy):
+        """A miss picks ``wrong[rng.randrange(len(wrong))]``, where ``wrong``
+        is the task's labels without the gold one, or all of them when that
+        leaves none; labels are drawn for no gold label too."""
+        corpus = [intent_sample(f"i{i}", label, "x") for i, label in
+                  enumerate(list(taxonomy.intent) * 20 + [None] * 20)]
+        corpus += [scene_sample(f"s{i}", label, "x") for i, label in
+                   enumerate(list(taxonomy.image_scene) * 20 + [None] * 20)]
+        stub = StubPredictor(taxonomy, accuracy=0.3, seed=5)
+        for sample in corpus:
+            labels = taxonomy.labels_for(sample.task)
+            rng = _stable_rng(5, sample.id)
+            if sample.gold_label is not None and rng.random() < 0.3:
+                expected = sample.gold_label
+            else:
+                wrong = [l for l in labels if l != sample.gold_label] or list(labels)
+                expected = wrong[rng.randrange(len(wrong))]
+            assert stub.predict(sample) == expected
 
     def test_labels_come_from_the_task_taxonomy(self):
         corpus = build_planted_corpus(["refund"], per_label=30, seed=1)

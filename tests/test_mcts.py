@@ -152,6 +152,12 @@ class TestRunSearchWithMock:
         with pytest.raises(ValueError, match="no training sample"):
             run_search("unknown", Task.INTENT, split, MockAgent(split.train), SearchConfig())
 
+    def test_a_task_without_validation_samples_is_rejected(self):
+        split = make_split(["refund", "shipping"], per_label=10, seed=1)
+        with pytest.raises(ValueError, match="no validation samples for task intent"):
+            run_search("refund", Task.INTENT, DatasetSplit(split.train, ()),
+                       MockAgent(split.train), SearchConfig())
+
     def test_trace_file_is_written(self, tmp_path):
         split = make_split(["refund", "shipping"], per_label=10, seed=4)
         agent = MockAgent(split.train, seed=4, noise=0.0)

@@ -9,6 +9,12 @@ carries no meaning in any input, so:
 - ``predict`` on ``test.jsonl`` in any order writes the same prediction
   lines, as a multiset, and the same ``--report`` bytes;
 - ``eval`` on the prediction file in any order writes the same report.
+
+A sample's prediction depends on that sample alone, so ``predict`` on two
+halves of ``test.jsonl``, run apart, writes the lines of one run over the
+whole file. That holds only while no classifier call fails: the batch that
+spends more than ``FAILURE_BUDGET`` failures aborts, and where that happens
+depends on how the file was cut. The tiny chain's stub classifier never fails.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import importlib
 import io
+import json
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -87,3 +94,27 @@ def test_record_order_changes_no_output(chain, data):
         rerun("eval", {**evaluate, "--pred": shuffled(data, evaluate["--pred"], scratch),
                        "--report": str(scratch / "report.json")})
         assert (scratch / "report.json").read_bytes() == Path(evaluate["--report"]).read_bytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_predict_on_two_halves_writes_the_lines_of_one_run(chain, data):
+    """Run apart, the halves of ``test.jsonl`` give the prediction lines of
+    one run; this holds only while no classifier call fails, since a batch
+    past ``FAILURE_BUDGET`` failures aborts at a sample that depends on the cut."""
+    predict = chain["predict"]
+    report = json.loads(Path(predict["--report"]).read_text(encoding="utf-8"))
+    assert report["predictor_failures"] == 0
+    lines = Path(predict["--val"]).read_text(encoding="utf-8").splitlines(keepends=True)
+    cut = data.draw(st.integers(0, len(lines)), label="cut")
+    with tempfile.TemporaryDirectory() as name:
+        scratch = Path(name)
+        written = []
+        for n, half in enumerate((lines[:cut], lines[cut:])):
+            source = scratch / f"half{n}.jsonl"
+            source.write_text("".join(half), encoding="utf-8")
+            rerun("predict", {**predict, "--val": str(source),
+                              "--out": str(scratch / f"preds{n}.jsonl"),
+                              "--report": str(scratch / f"report{n}.json")})
+            written.append((scratch / f"preds{n}.jsonl").read_bytes())
+    assert b"".join(written) == Path(predict["--out"]).read_bytes()

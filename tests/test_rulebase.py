@@ -289,6 +289,31 @@ class TestPersistence:
         with pytest.raises(RuleBaseError, match="reward"):
             load_rulebase(path)
 
+    def test_a_predicate_that_does_not_parse_is_a_rulebase_error(self, tmp_path):
+        path = tmp_path / "rules.json"
+        doc = {
+            "version": 1,
+            "metadata": {"created_at": "x", "dataset_digest": "", "config_digest": ""},
+            "rules": [
+                {
+                    "id": "a",
+                    "task": "intent",
+                    "label": "refund",
+                    "predicates": ['any_text contains "x"', 'any_text includes "y"'],
+                    "reward": 0.9,
+                    "confidence": 0.9,
+                    "source": "manual",
+                }
+            ],
+        }
+        path.write_text(json.dumps(doc))
+        with pytest.raises(
+            RuleBaseError,
+            match="rule entry 0: field 'predicates' contains an invalid predicate: "
+                  "unknown op 'includes'",
+        ):
+            load_rulebase(path)
+
     def test_duplicate_rule_ids_rejected(self):
         rules = (
             make_rule("a", "refund", [P1], 0.9),
