@@ -9,9 +9,7 @@ endpoint and expects each reply to carry exactly one fenced JSON block.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import logging
 import os
 import random
 import re
@@ -34,7 +32,14 @@ from .predicate import (
     render_predicate,
 )
 
-logger = logging.getLogger(__name__)
+
+def _logger():
+    # Imported on first use, so that stages with nothing to log do not load
+    # ``logging``.
+    import logging
+
+    return logging.getLogger(__name__)
+
 
 AGENT_KEY_ENV = "RULESMITH_AGENT_KEY"
 DEFAULT_TIMEOUT = 30.0
@@ -114,6 +119,8 @@ def sample_tokens(sample: DialogueSample) -> frozenset[str]:
 
 
 def _stable_rng(*parts: object) -> random.Random:
+    import hashlib  # only the mock agent's noise and the stub predictor take digests
+
     digest = hashlib.sha256("|".join(str(p) for p in parts).encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
@@ -427,17 +434,17 @@ def structured_call(send: Transport, system: str, user: str, parse: Callable[[st
             content = send(conversation)
         except OSError as exc:  # http_chat_transport's failures are OSErrors
             last_error = AgentUnavailableError(f"transport failure: {exc}")
-            logger.warning("transport failure (attempt %d): %s", attempt, exc)
+            _logger().warning("transport failure (attempt %d): %s", attempt, exc)
             continue
         except AgentProtocolError as exc:  # the endpoint's reply envelope was malformed
             last_error = exc
-            logger.warning("reply envelope invalid (attempt %d): %s", attempt, exc)
+            _logger().warning("reply envelope invalid (attempt %d): %s", attempt, exc)
             continue
         try:
             return parse(content)
         except AgentProtocolError as exc:
             last_error = exc
-            logger.warning("reply payload invalid (attempt %d): %s", attempt, exc)
+            _logger().warning("reply payload invalid (attempt %d): %s", attempt, exc)
             conversation = conversation + [
                 {"role": "assistant", "content": content},
                 {
@@ -511,7 +518,7 @@ class RemoteAgent:
                 candidate = parse_predicate(text)
             except PredicateSyntaxError as exc:  # unparseable proposals are dropped
                 self.dropped_proposals += 1
-                logger.info("dropping unparseable proposal %r: %s", text, exc)
+                _logger().info("dropping unparseable proposal %r: %s", text, exc)
                 continue
             if candidate in taken:
                 continue

@@ -8,7 +8,6 @@ mock agent and a stub predictor are bit-reproducible under a fixed
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -57,6 +56,8 @@ from .rulebase import (
 
 
 def _metadata(train_path: str, config: dict, seed: int | None) -> RuleBaseMetadata:
+    import hashlib  # only induce takes digests
+
     # A fixed seed promises bit-identical output files, so the timestamp
     # must not come from the wall clock in that case.
     if seed is None:

@@ -21,7 +21,6 @@ counts the rules the agent actually scored.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -30,8 +29,6 @@ from .agents import Agent, AgentContext, RewardEstimate
 from .dataset import DatasetSplit, Task, write_jsonl
 from .errors import check_at_least
 from .predicate import MAX_RULE_PREDICATES, Predicate, Rule, RuleSource, SampleIndex
-
-logger = logging.getLogger(__name__)
 
 # The UCT exploration constant c.
 EXPLORATION = math.sqrt(2)
@@ -228,15 +225,6 @@ def run_search(
 
             _refresh_exhaustion(child)
 
-            logger.debug(
-                "search %s/%s iter=%d eval=%d reward=%.3f best=%.3f",
-                task.value,
-                label,
-                iteration,
-                len(harvested),
-                estimate.reward,
-                best_reward,
-            )
             if trace is not None:
                 trace.append({
                     "label": label,
@@ -251,16 +239,6 @@ def run_search(
         if trace is not None:
             write_jsonl(trace_path, trace)
 
-    logger.info(
-        "search %s/%s finished: %d iterations, %d rules from %d agent evaluations, "
-        "best reward %.3f",
-        task.value,
-        label,
-        iterations,
-        len(harvested),
-        len(scored),
-        best_reward,
-    )
     return SearchResult(
         rules=harvested,
         root=root,

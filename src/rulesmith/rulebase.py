@@ -164,7 +164,7 @@ def online_validate(
     dropped: list[tuple[Rule, RuleQuality]] = []
     index = SampleIndex(validation)
     for rule in rules:
-        quality = measure_rule(rule, index)
+        quality = measure_rule(rule, index.for_task(rule.task))
         if quality.coverage < min_support or quality.precision is None:
             dropped.append((rule, quality))
         elif quality.precision < min_precision:

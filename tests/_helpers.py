@@ -159,17 +159,23 @@ def make_rule(
 SRC_DIR = Path(rulesmith.__file__).resolve().parents[1]
 
 
-def run_python(code: str, *args: str) -> str:
+def python_process(code: str, *args: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports rulesmith from this
-    source tree; return its stdout."""
+    source tree, capturing its stdout and stderr."""
 
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code, *args],
         env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def run_python(code: str, *args: str) -> str:
+    """``python_process``, which must exit 0; return its stdout."""
+
+    done = python_process(code, *args)
     assert done.returncode == 0, done.stderr
     return done.stdout
 

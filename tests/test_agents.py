@@ -21,7 +21,7 @@ from rulesmith import (
     parse_predicate,
     render_predicate,
 )
-from rulesmith.agents import _CJK, sample_tokens, tokenize
+from rulesmith.agents import _CJK, extract_fenced_json, sample_tokens, structured_call, tokenize
 from _helpers import ScriptedTransport, contains, intent_sample, make_rule
 
 
@@ -185,16 +185,21 @@ class TestRemoteAgent:
         corpus = [intent_sample("a", "L", "退货退货")]
         return make_context(corpus, "L")
 
-    def test_propose_parses_and_drops_bad_entries(self):
+    def test_propose_parses_and_drops_bad_entries(self, caplog):
         # The third entry decodes to a lone surrogate before its trailing garbage.
         transport = ScriptedTransport(
             [fenced('{"predicates": ["any_text contains \\"退货\\"", "garbage!!", '
                     '"any_text contains \\"\\ud800\\" junk"]}')]
         )
         agent = RemoteAgent("http://example", transport=transport)
-        proposals = agent.propose_predicates(self.make_ctx(), k=5)
+        with caplog.at_level("INFO", logger="rulesmith.agents"):
+            proposals = agent.propose_predicates(self.make_ctx(), k=5)
         assert proposals == [contains("退货")]
         assert agent.dropped_proposals == 2
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            "dropping unparseable proposal 'garbage!!'",
+            "dropping unparseable proposal 'any_text contains \"\\ud800\" junk'",
+        ]
 
     def test_out_of_range_reward_is_a_protocol_error_naming_the_field(self):
         rule = make_rule("r", "L", [contains("退货")], 0.0, confidence=0.0)
@@ -224,6 +229,14 @@ class TestRemoteAgent:
         follow_up = transport.conversations[1]
         assert follow_up[-1]["role"] == "user"
         assert "invalid" in follow_up[-1]["content"]
+
+    def test_an_invalid_payload_is_logged_as_a_warning_before_the_retry(self, caplog):
+        transport = ScriptedTransport(["no fenced block here", fenced('{"ok": true}')])
+        with caplog.at_level("WARNING", logger="rulesmith.agents"):
+            assert structured_call(transport, "system", "user", extract_fenced_json) == {"ok": True}
+        [record] = caplog.records
+        assert (record.name, record.levelname) == ("rulesmith.agents", "WARNING")
+        assert record.getMessage().startswith("reply payload invalid (attempt 1): ")
 
     @pytest.mark.parametrize(
         "payload", ["[" * 100_000 + "]" * 100_000, "1" * 5001],

@@ -39,6 +39,7 @@ from _helpers import (
     intent_sample,
     make_rule,
     planted_token,
+    python_process,
     scene_sample,
 )
 
@@ -510,6 +511,34 @@ class TestPrefetch:
         assert retry[:2] == first
         assert retry[2] == {"role": "assistant", "content": "It is a refund."}
         assert retry[3]["content"].startswith("Your reply was invalid")
+
+    def test_a_failure_on_a_worker_is_logged_to_stderr_in_a_fresh_interpreter(self):
+        """No handler is configured, so the warning reaches stderr through
+        ``logging``'s last resort, from the worker that retried the call."""
+        done = python_process(
+            "import threading\n"
+            "from rulesmith import (DialogueSample, LabelTaxonomy, RemotePredictor, RuleBase,\n"
+            "                       Speaker, Task, Turn, predict_batch)\n"
+            "samples = [DialogueSample(f's{i}', Task.INTENT, (Turn(Speaker.USER, 'hi'),), '',\n"
+            "                          'refund') for i in range(4)]\n"
+            "failed_on = []\n"
+            "def transport(messages):\n"
+            "    if '\"s0\"' in messages[1]['content'] and not failed_on:\n"
+            "        failed_on.append(threading.current_thread().name)\n"
+            "        raise ConnectionError('the endpoint is down')\n"
+            "    return '```json\\n{\"label\": \"refund\"}\\n```'\n"
+            "taxonomy = LabelTaxonomy(intent=('refund',), image_scene=())\n"
+            "predictor = RemotePredictor('http://example', taxonomy, transport=transport)\n"
+            "try:\n"
+            "    result = predict_batch(RuleBase.build([]), predictor, samples)\n"
+            "finally:\n"
+            "    predictor.close()\n"
+            "print(*failed_on, result.report.predictor_failures)\n"
+        )
+        assert done.returncode == 0, done.stderr
+        [worker, failures] = done.stdout.split()
+        assert worker.startswith("rulesmith-predict_") and failures == "0"
+        assert done.stderr == "transport failure (attempt 1): the endpoint is down\n"
 
     @pytest.mark.parametrize("failures", [1, RETRIES], ids=["once", "every-attempt"])
     def test_a_failed_prefetched_attempt_counts_as_attempt_one(self, failures):
