@@ -50,7 +50,6 @@ from .rulebase import (
     filter_by_reward,
     load_rulebase,
     online_validate,
-    remove_dominated,
     save_rulebase,
 )
 
@@ -162,7 +161,6 @@ def _cmd_filter(args: argparse.Namespace) -> dict:
         taxonomy = load_taxonomy(args.labels)
         check_labels(base.rules, taxonomy)
     rules = filter_by_reward(list(base.rules), args.min_reward)
-    rules = remove_dominated(rules)
     dropped_online = 0
     if args.val:
         validation = load_dataset(args.val, taxonomy)

@@ -2,19 +2,21 @@
 
 Grammar of the canonical text form (and the only accepted form):
 
-    predicate := field SP op SP '"' value '"'
+    predicate := [WS] field WS op [WS] '"' value '"' [WS]
+    WS        := one or more spaces or tabs
     field     := "user_text" | "service_text" | "ocr_text" | "any_text"
     op        := "contains" | "not_contains" | "starts_with" | "ends_with"
     value     := any characters; '"' and '\\' must be backslash-escaped
 
-Matching is substring-style over NFKC-normalized, case-folded text; there
-are deliberately no regular expressions, so two evaluations of the same
+Matching is substring-style over NFKC-normalized, case-folded text; it
+deliberately uses no regular expressions, so two evaluations of the same
 predicate can never disagree.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 import unicodedata
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -115,6 +117,7 @@ class RuleQuality:
 
 _FIELDS = {f.value: f for f in PredicateField}
 _OPS = {o.value: o for o in PredicateOp}
+_QUOTE_OR_BACKSLASH = re.compile(r'["\\]')
 
 
 def render_predicate(p: Predicate) -> str:
@@ -122,103 +125,65 @@ def render_predicate(p: Predicate) -> str:
     return f'{p.field.value} {p.op.value} "{escaped}"'
 
 
-def _byte_offset(text: str, index: int) -> int:
-    return len(text[:index].encode("utf-8", "surrogatepass"))
-
-
-class _Scanner:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str, expected: str, at: int | None = None) -> PredicateSyntaxError:
-        index = self.pos if at is None else at
-        return PredicateSyntaxError(
-            message, offset=_byte_offset(self.text, index), expected=expected
-        )
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def read_word(self, expected: str) -> tuple[str, int]:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalpha() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an identifier", expected, at=start)
-        return self.text[start : self.pos], start
-
-    def read_quoted(self) -> str:
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != '"':
-            raise self.error("expected opening quote", 'a double-quoted value')
-        self.pos += 1
-        out: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self.error("unterminated value", 'closing quote `"`')
-            ch = self.text[self.pos]
-            if ch == '"':
-                self.pos += 1
-                return "".join(out)
-            if ch == "\\":
-                if self.pos + 1 >= len(self.text):
-                    raise self.error("dangling backslash", r'`\"` or `\\`')
-                esc = self.text[self.pos + 1]
-                if esc not in ('"', "\\"):
-                    raise self.error(
-                        f"invalid escape sequence \\{esc}", r'`\"` or `\\`'
-                    )
-                out.append(esc)
-                self.pos += 2
-            else:
-                out.append(ch)
-                self.pos += 1
-
-    def expect_end(self) -> None:
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error(
-                f"unexpected trailing input {self.text[self.pos:]!r}", "end of input"
-            )
-
-
 def parse_predicate(text: str) -> Predicate:
     """Parse the canonical predicate text form; reject everything else."""
 
-    scanner = _Scanner(text)
-    field_word, field_at = scanner.read_word("a field name")
-    if field_word not in _FIELDS:
-        raise scanner.error(
-            f"unknown field {field_word!r}",
-            "one of " + ", ".join(sorted(_FIELDS)),
-            at=field_at,
-        )
-    op_word, op_at = scanner.read_word("an operator")
-    if op_word not in _OPS:
-        raise scanner.error(
-            f"unknown op {op_word!r}",
-            "one of " + ", ".join(sorted(_OPS)),
-            at=op_at,
-        )
-    value_at = scanner.pos
-    value = scanner.read_quoted()
-    scanner.expect_end()
+    def error(message: str, expected: str, at: int) -> PredicateSyntaxError:
+        offset = len(text[:at].encode("utf-8", "surrogatepass"))
+        return PredicateSyntaxError(message, offset=offset, expected=expected)
+
+    def skip_ws(pos: int) -> int:
+        while pos < len(text) and text[pos] in " \t":
+            pos += 1
+        return pos
+
+    pos = 0
+    field_and_op = []
+    for kind, expected, table in (("field", "a field name", _FIELDS), ("op", "an operator", _OPS)):
+        start = pos = skip_ws(pos)
+        while pos < len(text) and (text[pos].isalpha() or text[pos] == "_"):
+            pos += 1
+        if pos == start:
+            raise error("expected an identifier", expected, start)
+        word = text[start:pos]
+        if word not in table:
+            raise error(f"unknown {kind} {word!r}", "one of " + ", ".join(sorted(table)), start)
+        field_and_op.append(table[word])
+    value_at = pos
+    pos = skip_ws(pos)
+    if not text.startswith('"', pos):
+        raise error("expected opening quote", "a double-quoted value", pos)
+    pos += 1
+    chunks = []
+    while True:  # from one quote or backslash to the next
+        special = _QUOTE_OR_BACKSLASH.search(text, pos)
+        if special is None:
+            raise error("unterminated value", 'closing quote `"`', len(text))
+        at = special.start()
+        chunks.append(text[pos:at])
+        if text[at] == '"':
+            break
+        if at + 1 == len(text):
+            raise error("dangling backslash", r'`\"` or `\\`', at)
+        if text[at + 1] not in '"\\':
+            raise error(f"invalid escape sequence \\{text[at + 1]}", r'`\"` or `\\`', at)
+        chunks.append(text[at + 1])
+        pos = at + 2
+    end = skip_ws(at + 1)
+    if end != len(text):
+        raise error(f"unexpected trailing input {text[end:]!r}", "end of input", end)
+    value = "".join(chunks)
     if not value:
-        raise scanner.error("empty value", "a non-empty value", at=value_at)
+        raise error("empty value", "a non-empty value", value_at)
     if len(value) > MAX_VALUE_LENGTH:
-        raise scanner.error(
+        raise error(
             f"value longer than {MAX_VALUE_LENGTH} characters",
             f"at most {MAX_VALUE_LENGTH} characters",
-            at=value_at,
+            value_at,
         )
     if not encodable(value):
-        raise scanner.error("value holds a lone surrogate", "UTF-8 encodable text", at=value_at)
-    return Predicate(field=_FIELDS[field_word], op=_OPS[op_word], value=value)
+        raise error("value holds a lone surrogate", "UTF-8 encodable text", value_at)
+    return Predicate(*field_and_op, value=value)
 
 
 # --- evaluation -------------------------------------------------------------

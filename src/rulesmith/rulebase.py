@@ -50,10 +50,17 @@ class RuleBase:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
         seen: set[str] = set()
+        first_ids: dict[tuple[Task, str, frozenset[Predicate]], str] = {}
         for rule in self.rules:
             if rule.id in seen:
                 raise RuleBaseError(f"duplicate rule id {rule.id!r}")
             seen.add(rule.id)
+            first = first_ids.setdefault((rule.task, rule.label, rule.predicates), rule.id)
+            if first != rule.id:
+                raise RuleBaseError(
+                    f"rule {rule.id!r} has the task, label and predicates of rule "
+                    f"{first!r}; collapse with remove_dominated first"
+                )
         dominated = _dominated_indices(self.rules)
         if dominated:
             offender = self.rules[min(dominated)].id

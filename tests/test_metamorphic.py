@@ -4,6 +4,9 @@ The benchmark's tiny induce-mock chain is built once. Each example draws
 permutations of its input files and runs a stage again on them. Record order
 carries no meaning in any input, so:
 
+- ``induce`` on ``train.jsonl`` and ``val.jsonl`` in any order writes
+  ``rules.json`` byte for byte, but for ``metadata.dataset_digest``, which
+  hashes the train file as written;
 - ``filter`` run again on ``filtered.json``, with the validation set in any
   order, writes ``filtered.json`` byte for byte;
 - ``predict`` on ``test.jsonl`` in any order writes the same prediction
@@ -67,6 +70,21 @@ def rerun(stage: str, options: dict[str, str]) -> None:
         argv += [flag, value]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, stage
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_induce_on_shuffled_inputs_writes_the_same_rules(chain, data):
+    induce = chain["induce"]
+    with tempfile.TemporaryDirectory() as name:
+        scratch = Path(name)
+        rerun("induce", {**induce, "--train": shuffled(data, induce["--train"], scratch),
+                         "--val": shuffled(data, induce["--val"], scratch),
+                         "--out": str(scratch / "rules.json")})
+        again = (scratch / "rules.json").read_text(encoding="utf-8")
+    original = Path(induce["--out"]).read_text(encoding="utf-8")
+    digests = [json.loads(text)["metadata"]["dataset_digest"] for text in (again, original)]
+    assert again.replace(*digests) == original
 
 
 @settings(max_examples=50, deadline=None)

@@ -24,7 +24,48 @@ from rulesmith import (
 from _helpers import contains, intent_sample, make_rule, scene_sample
 
 
+FIELDS = "one of any_text, ocr_text, service_text, user_text"
+ESCAPES = r'`\"` or `\\`'
+ANY_CONTAINS_X = Predicate(PredicateField.ANY_TEXT, PredicateOp.CONTAINS, "x")
+
+# Each input with what parsing it gives: the predicate, or the message, byte
+# offset and expected token of the syntax error. Spaces and tabs may stand
+# before, between and after the tokens, and the quote needs none before it.
+OUTCOMES = [
+    ('any_text contains "ab\\', ("dangling backslash", 21, ESCAPES)),
+    ("", ("expected an identifier", 0, "a field name")),
+    ("   ", ("expected an identifier", 3, "a field name")),
+    ('1user_text contains "x"', ("expected an identifier", 0, "a field name")),
+    ('any_text 9contains "x"', ("expected an identifier", 9, "an operator")),
+    ("any_text", ("expected an identifier", 8, "an operator")),
+    ('\tany_text\tcontains\t"x"\t', ANY_CONTAINS_X),
+    ('any_text\tincludes\t"x"', (
+        "unknown op 'includes'", 9, "one of contains, ends_with, not_contains, starts_with")),
+    ('any_text contains"x"', ANY_CONTAINS_X),
+    ('bødy_text contains "x"', ("unknown field 'bødy_text'", 0, FIELDS)),
+    ('退款 contains "x"', ("unknown field '退款'", 0, FIELDS)),
+    ('any_text contains "é" ünknown', (
+        "unexpected trailing input 'ünknown'", 23, "end of input")),
+    ('any_text contains \t ""', ("empty value", 17, "a non-empty value")),
+    ('any_text contains \t "' + "x" * 129 + '"', (
+        "value longer than 128 characters", 17, "at most 128 characters")),
+    ("any_text contains", ("expected opening quote", 17, "a double-quoted value")),
+    ("any_text contains 'x'", ("expected opening quote", 18, "a double-quoted value")),
+]
+
+
 class TestParse:
+    @pytest.mark.parametrize(("text", "outcome"), OUTCOMES)
+    def test_outcome_table(self, text, outcome):
+        if isinstance(outcome, tuple):
+            message, offset, expected = outcome
+            outcome = (f"{message} (byte offset {offset}, expected {expected})", offset, expected)
+        try:
+            parsed = parse_predicate(text)
+        except PredicateSyntaxError as error:
+            parsed = (str(error), error.offset, error.expected)
+        assert parsed == outcome
+
     def test_ocr_contains_example(self):
         p = parse_predicate('ocr_text contains "物流"')
         assert p == Predicate(PredicateField.OCR_TEXT, PredicateOp.CONTAINS, "物流")

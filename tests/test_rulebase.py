@@ -19,6 +19,7 @@ from rulesmith import (
     remove_dominated,
     save_rulebase,
 )
+from rulesmith.cli import main
 from _helpers import (
     brute_force_remove_dominated,
     contains,
@@ -329,6 +330,35 @@ class TestPersistence:
         )
         with pytest.raises(RuleBaseError, match="dominated"):
             RuleBase(rules=rules, metadata=self.metadata())
+
+    def test_rules_with_one_task_label_and_predicate_set_rejected(self):
+        rules = (
+            make_rule("a", "refund", [P1, P2], 0.8),
+            make_rule("b", "refund", [P2, P1], 0.9),
+        )
+        with pytest.raises(
+            RuleBaseError, match="rule 'b' has the task, label and predicates of rule 'a'"
+        ):
+            RuleBase(rules=rules, metadata=self.metadata())
+        assert [r.id for r in RuleBase.build(rules).rules] == ["b"]
+
+    def test_filter_refuses_a_file_with_two_equal_rules(self, tmp_path, capsys):
+        rule = {"task": "intent", "label": "refund", "predicates": ['any_text contains "x"'],
+                "reward": 0.9, "confidence": 0.9, "source": "manual"}
+        doc = {
+            "version": 1,
+            "metadata": {"created_at": "x", "dataset_digest": "", "config_digest": ""},
+            "rules": [{"id": "a", **rule}, {"id": "b", **rule}],
+        }
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(RuleBaseError, match="rule 'b'"):
+            load_rulebase(path)
+        out = tmp_path / "filtered.json"
+        assert main(["filter", "--rules", str(path), "--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "RuleBaseError" and "rule 'b'" in error["message"]
+        assert not out.exists()
 
     def test_build_prunes_instead_of_raising(self):
         rules = [
