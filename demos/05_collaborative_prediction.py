@@ -3,10 +3,10 @@ Rules correcting a classifier
 =============================
 
 Every sample is shown to both the rule base and a classifier. When the
-best fired rule's reward clears the override threshold, the rule's label
-wins; otherwise the classifier's answer stands, and it is always recorded
-either way. High-precision rules on their covered slice lift a mediocre
-classifier without touching the rest.
+strongest fired rule's reward clears the override threshold, that rule's
+label wins; otherwise the classifier's answer stands, and it is always
+recorded either way. High-precision rules on their covered slice lift a
+mediocre classifier without touching the rest.
 """
 
 import random

@@ -15,7 +15,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
 
 from .dataset import DialogueSample, Fields, Task, encodable
 from .errors import (AgentError, AgentProtocolError, AgentUnavailableError, ArgumentError,
@@ -130,22 +130,53 @@ def rule_key(rule: Rule) -> str:
     return f"{rule.task.value}|{rule.label}|{preds}"
 
 
-class _TokenFrequencies:
-    """Sample counts, and per token the number of samples holding it, per
-    (task, gold label) and per task, from one pass over a corpus."""
+def _rank_tokens(corpus: Sequence[DialogueSample]) -> dict[tuple[Task, str | None], list[str]]:
+    """Per (task, gold label), from one pass over the corpus, the tokens of
+    the label's samples by a smoothed ratio of their share of the label's
+    samples to their share of the task's other samples, highest first; ties
+    go to the higher in-label share, then to the token."""
 
-    def __init__(self, corpus: Sequence[DialogueSample]) -> None:
-        self.label_sizes: Counter[tuple[Task, str | None]] = Counter()
-        self.task_sizes: Counter[Task] = Counter()
-        self.in_label: dict[tuple[Task, str | None], Counter[str]] = {}
-        self.in_task: dict[Task, Counter[str]] = {}
-        for sample in corpus:
-            key = (sample.task, sample.gold_label)
-            tokens = sample_tokens(sample)
-            self.label_sizes[key] += 1
-            self.task_sizes[sample.task] += 1
-            self.in_label.setdefault(key, Counter()).update(tokens)
-            self.in_task.setdefault(sample.task, Counter()).update(tokens)
+    sizes: Counter[tuple[Task, str | None]] = Counter()
+    in_label: dict[tuple[Task, str | None], Counter[str]] = {}
+    in_task: dict[Task, Counter[str]] = {}
+    for sample in corpus:
+        key = (sample.task, sample.gold_label)
+        tokens = sample_tokens(sample)
+        sizes[key] += 1
+        in_label.setdefault(key, Counter()).update(tokens)
+        in_task.setdefault(sample.task, Counter()).update(tokens)
+    ranked: dict[tuple[Task, str | None], list[str]] = {}
+    for (task, label), hits_by_token in in_label.items():
+        positives = sizes[task, label]
+        negatives = sum(n for (t, _), n in sizes.items() if t is task) - positives
+        smoothing = 1.0 / (2 * max(1, negatives))
+        scored: list[tuple[float, float, str]] = []
+        for token, hits in hits_by_token.items():
+            if len(token) > MAX_TOKEN_LENGTH:
+                continue
+            p_pos = hits / positives
+            p_neg = (in_task[task][token] - hits) / negatives if negatives else 0.0
+            scored.append((-p_pos / (p_neg + smoothing), -p_pos, token))
+        ranked[task, label] = [token for _, _, token in sorted(scored)]
+    return ranked
+
+
+def _new_proposals(candidates: Iterable[Predicate], ctx: AgentContext, k: int) -> list[Predicate]:
+    """The first ``k`` of ``candidates`` that are not in ``ctx.current``,
+    each once. No candidate after the k-th is drawn, and none at all for a
+    ``k`` below 1, which is an error."""
+
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    taken = set(ctx.current)
+    proposals: list[Predicate] = []
+    for candidate in candidates:
+        if candidate not in taken:
+            proposals.append(candidate)
+            taken.add(candidate)
+            if len(proposals) == k:
+                break
+    return proposals
 
 
 class MockAgent:
@@ -153,10 +184,10 @@ class MockAgent:
 
     Proposals come from per-label token mining over the reference corpus:
     tokens are ranked by how much more often they appear in same-label
-    samples than in the rest (a smoothed frequency ratio). Rule rewards are
-    the measured precision on the context's validation examples, optionally
-    perturbed by seeded noise; confidence grows with coverage, saturating
-    at coverage 10.
+    samples than in the rest (a smoothed frequency ratio), every label's at
+    once on the first proposal. Rule rewards are the measured precision on
+    the context's validation examples, optionally perturbed by seeded noise;
+    confidence grows with coverage, saturating at coverage 10.
     """
 
     def __init__(
@@ -169,49 +200,14 @@ class MockAgent:
         self.noise = check_ratio("noise", noise)
         self.corpus = tuple(corpus)
         self.seed = seed
-        self._ranked: dict[tuple[Task, str], list[str]] = {}
-        self._frequencies: _TokenFrequencies | None = None
-
-    def _ranked_tokens(self, task: Task, label: str) -> list[str]:
-        key = (task, label)
-        if key in self._ranked:
-            return self._ranked[key]
-        if self._frequencies is None:
-            self._frequencies = _TokenFrequencies(self.corpus)
-        freq = self._frequencies
-        positives = freq.label_sizes[key]
-        negatives = freq.task_sizes[task] - positives
-        scored: list[tuple[float, float, str]] = []
-        if positives:
-            in_task = freq.in_task[task]
-            smoothing = 1.0 / (2 * max(1, negatives))
-            for token, hits in freq.in_label[key].items():
-                if len(token) > MAX_TOKEN_LENGTH:
-                    continue
-                p_pos = hits / positives
-                p_neg = (in_task[token] - hits) / negatives if negatives else 0.0
-                scored.append((p_pos / (p_neg + smoothing), p_pos, token))
-        scored.sort(key=lambda item: (-item[0], -item[1], item[2]))
-        ranked = [token for _, _, token in scored]
-        self._ranked[key] = ranked
-        return ranked
+        self._ranked: dict[tuple[Task, str | None], list[str]] | None = None
 
     def propose_predicates(self, ctx: AgentContext, k: int) -> list[Predicate]:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        taken = set(ctx.current)
-        proposals: list[Predicate] = []
-        for token in self._ranked_tokens(ctx.task, ctx.label):
-            candidate = Predicate(
-                field=PredicateField.ANY_TEXT, op=PredicateOp.CONTAINS, value=token
-            )
-            if candidate in taken:
-                continue
-            proposals.append(candidate)
-            taken.add(candidate)
-            if len(proposals) == k:
-                break
-        return proposals
+        if self._ranked is None:
+            self._ranked = _rank_tokens(self.corpus)
+        tokens = self._ranked.get((ctx.task, ctx.label), ())
+        contains = (Predicate(PredicateField.ANY_TEXT, PredicateOp.CONTAINS, t) for t in tokens)
+        return _new_proposals(contains, ctx, k)
 
     def evaluate_rule(self, ctx: AgentContext, rule: Rule) -> RewardEstimate:
         quality = measure_rule(rule, ctx.validation)
@@ -483,8 +479,6 @@ class RemoteAgent:
         close_connections(self._transport)
 
     def propose_predicates(self, ctx: AgentContext, k: int) -> list[Predicate]:
-        if k < 1:
-            raise ValueError("k must be >= 1")
         current = ", ".join(sorted(render_predicate(p) for p in ctx.current)) or "(none)"
         system = (
             "You grow keyword rules for labeling e-commerce dialogues. "
@@ -510,23 +504,18 @@ class RemoteAgent:
                 raise fields.fail("predicates", "must be an array of strings")
             return raw
 
-        raw_predicates = structured_call(self._transport, system, user, parse)
-        taken = set(ctx.current)
-        proposals: list[Predicate] = []
-        for text in raw_predicates:
-            try:
-                candidate = parse_predicate(text)
-            except PredicateSyntaxError as exc:  # unparseable proposals are dropped
-                self.dropped_proposals += 1
-                _logger().info("dropping unparseable proposal %r: %s", text, exc)
-                continue
-            if candidate in taken:
-                continue
-            proposals.append(candidate)
-            taken.add(candidate)
-            if len(proposals) == k:
-                break
-        return proposals
+        def parsed() -> Iterator[Predicate]:
+            # Lazily: entries after the k-th new one are never parsed.
+            for text in structured_call(self._transport, system, user, parse):
+                try:
+                    candidate = parse_predicate(text)
+                except PredicateSyntaxError as exc:  # unparseable proposals are dropped
+                    self.dropped_proposals += 1
+                    _logger().info("dropping unparseable proposal %r: %s", text, exc)
+                    continue
+                yield candidate
+
+        return _new_proposals(parsed(), ctx, k)
 
     def evaluate_rule(self, ctx: AgentContext, rule: Rule) -> RewardEstimate:
         predicates = " AND ".join(render_predicate(p) for p in rule.sorted_predicates())

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence, TypeVar
 
@@ -367,17 +367,8 @@ def generate_validation(
             raise DatasetError(f"sample {sample.id!r} has no gold_label; cannot rephrase")
 
     def make_copy(source: DialogueSample, copy_index: int) -> DialogueSample:
-        turns = tuple(
-            Turn(speaker=t.speaker, text=rephraser.rephrase(t.text)) for t in source.turns
-        )
-        return DialogueSample(
-            id=derived_id(source.id, copy_index),
-            task=source.task,
-            turns=turns,
-            ocr_text=source.ocr_text,
-            image_ref=source.image_ref,
-            gold_label=source.gold_label,
-        )
+        turns = tuple(replace(t, text=rephraser.rephrase(t.text)) for t in source.turns)
+        return replace(source, id=derived_id(source.id, copy_index), turns=turns)
 
     copies = [make_copy(sample, i) for sample in train for i in range(per_sample)]
     return sorted(copies, key=lambda s: s.id)

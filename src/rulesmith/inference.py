@@ -1,9 +1,9 @@
 """Collaborative prediction: run rules and a classifier, then arbitrate.
 
-Every sample goes to both the rule base and the pluggable classifier. A
-fired rule overrides the classifier only when its reward clears the
-override threshold; the classifier's own label is always kept on the
-prediction for later analysis.
+Every sample goes to both the rule base and the pluggable classifier. The
+strongest rule that fires on a sample overrides the classifier only when
+its reward clears the override threshold; the classifier's own label is
+always kept on the prediction for later analysis.
 """
 
 from __future__ import annotations
@@ -184,52 +184,50 @@ class RemotePredictor:
             ) from exc
 
 
-def _fired_rules(rulebase: RuleBase, samples: Sequence[DialogueSample]) -> list[list[Rule]]:
-    """Per sample, the same-task rules firing on it, strongest first.
+def _top_rules(rulebase: RuleBase, samples: Sequence[DialogueSample]) -> list[Rule | None]:
+    """Per sample, the strongest same-task rule firing on it, or None.
 
-    Ordering: reward descending, then predicate count descending (more
-    specific first), then id ascending. Rules are visited in that order and
-    each is appended to the samples its bitset holds, so every list comes
-    out sorted. A rule is matched only on the index of its own task's
-    samples, whose bit i stands for the batch position ``positions[task][i]``.
+    Strength: reward descending, then predicate count descending (more
+    specific first), then id ascending. Per task, the rules are matched in
+    that order on one index of that task's samples, whose bit i stands for
+    the batch position ``at[i]``; each rule takes the samples it fires on
+    that no stronger rule has taken.
     """
 
-    positions: dict[Task, list[int]] = {}
-    for i, sample in enumerate(samples):
-        positions.setdefault(sample.task, []).append(i)
-    indexes = {task: SampleIndex(samples[i] for i in at) for task, at in positions.items()}
-    fired: list[list[Rule]] = [[] for _ in samples]
-    for rule in sorted(rulebase.rules, key=lambda r: (-r.reward, -len(r.predicates), r.id)):
-        index = indexes.get(rule.task)
-        if index is None:
-            continue
-        at = positions[rule.task]
-        mask = index.rule_mask(rule)
-        while mask:
-            lowest = mask & -mask
-            fired[at[lowest.bit_length() - 1]].append(rule)
-            mask ^= lowest
-    return fired
+    top: list[Rule | None] = [None] * len(samples)
+    rules = sorted(rulebase.rules, key=lambda r: (-r.reward, -len(r.predicates), r.id))
+    for task in Task:
+        at = [i for i, sample in enumerate(samples) if sample.task is task]
+        index = SampleIndex(samples[i] for i in at)
+        untaken = (1 << len(at)) - 1
+        for rule in rules:
+            if rule.task is task and untaken:
+                mask = index.rule_mask(rule) & untaken
+                untaken ^= mask
+                while mask:
+                    lowest = mask & -mask
+                    top[at[lowest.bit_length() - 1]] = rule
+                    mask ^= lowest
+    return top
 
 
 def arbitrate(
-    fired: Sequence[Rule],
+    top: Rule | None,
     predictor_label: str | None,
     *,
     sample_id: str,
     override_threshold: float = DEFAULT_OVERRIDE_THRESHOLD,
 ) -> Prediction:
-    """Let the best fired rule override the classifier if it is trusted enough.
+    """Let ``top``, the strongest fired rule or None, override the classifier
+    if it is trusted enough.
 
-    ``predictor_label=None`` means the classifier failed on this sample: the
-    best fired rule then answers regardless of threshold, and with no fired
-    rule the prediction abstains.
+    ``predictor_label=None`` means the classifier failed on this sample:
+    ``top`` then answers regardless of threshold, or the prediction abstains.
     """
 
     failed = predictor_label is None
     classifier_label = ABSTAIN_LABEL if failed else predictor_label
-    if fired and (failed or fired[0].reward >= override_threshold):
-        top = fired[0]
+    if top is not None and (failed or top.reward >= override_threshold):
         return Prediction(
             sample_id=sample_id,
             label=top.label,
@@ -282,7 +280,7 @@ def predict_batch(
         prefetch(samples)
     predictions: list[Prediction] = []
     report = BatchReport()
-    for sample, fired in zip(samples, _fired_rules(rulebase, samples)):
+    for sample, top in zip(samples, _top_rules(rulebase, samples)):
         report.total += 1
         try:
             predictor_label = predictor.predict(sample)
@@ -294,7 +292,7 @@ def predict_batch(
                 ) from exc
             predictor_label = None
         prediction = arbitrate(
-            fired,
+            top,
             predictor_label,
             sample_id=sample.id,
             override_threshold=override_threshold,

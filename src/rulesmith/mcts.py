@@ -183,10 +183,8 @@ def run_search(
                     proposed[node.state] = actions
                 node.fetched = True
                 node.untried = list(actions)
-                if not node.untried:
-                    # Dead end: nothing to grow here, ever.
-                    node.exhausted = True
-                    _refresh_exhaustion(node.parent)
+                if not node.untried:  # a dead end: nothing to grow here, ever
+                    _refresh_exhaustion(node)
                     continue
 
             action = node.untried.pop(0)

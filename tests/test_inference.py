@@ -102,7 +102,7 @@ class TestMatchRules:
 
 class TestArbitrate:
     def test_no_fired_rules_falls_back_to_predictor(self):
-        p = arbitrate([], "refund", sample_id="s")
+        p = arbitrate(None, "refund", sample_id="s")
         assert p.label == "refund"
         assert p.source is PredictionSource.PREDICTOR
         assert p.fired_rule_id is None
@@ -110,7 +110,7 @@ class TestArbitrate:
 
     def test_strong_rule_overrides_disagreeing_predictor(self):
         rule = make_rule("r", "shipping", [contains("x")], 0.95)
-        p = arbitrate([rule], "refund", sample_id="s")
+        p = arbitrate(rule, "refund", sample_id="s")
         assert p.label == "shipping"
         assert p.source is PredictionSource.RULE
         assert p.fired_rule_id == "r"
@@ -118,25 +118,25 @@ class TestArbitrate:
 
     def test_weak_rule_leaves_predictor_in_charge(self):
         rule = make_rule("r", "shipping", [contains("x")], 0.7)
-        p = arbitrate([rule], "refund", sample_id="s", override_threshold=0.8)
+        p = arbitrate(rule, "refund", sample_id="s", override_threshold=0.8)
         assert p.label == "refund"
         assert p.source is PredictionSource.PREDICTOR
 
     def test_threshold_boundary_overrides(self):
         rule = make_rule("r", "shipping", [contains("x")], 0.8)
-        p = arbitrate([rule], "refund", sample_id="s", override_threshold=0.8)
+        p = arbitrate(rule, "refund", sample_id="s", override_threshold=0.8)
         assert p.source is PredictionSource.RULE
 
     def test_failed_predictor_lets_a_weak_rule_answer(self):
         rule = make_rule("r", "shipping", [contains("x")], 0.5)
-        p = arbitrate([rule], None, sample_id="s", override_threshold=0.8)
+        p = arbitrate(rule, None, sample_id="s", override_threshold=0.8)
         assert p.label == "shipping"
         assert p.source is PredictionSource.RULE
         assert p.fired_rule_id == "r"
         assert p.predictor_label == ABSTAIN_LABEL
 
     def test_failed_predictor_without_fired_rules_abstains(self):
-        p = arbitrate([], None, sample_id="s")
+        p = arbitrate(None, None, sample_id="s")
         assert p.label == ABSTAIN_LABEL
         assert p.source is PredictionSource.PREDICTOR
         assert p.fired_rule_id is None

@@ -11,6 +11,9 @@ carries no meaning in any input, so:
   order, writes ``filtered.json`` byte for byte;
 - ``predict`` on ``test.jsonl`` in any order writes the same prediction
   lines, as a multiset, and the same ``--report`` bytes;
+- ``predict`` with the rules of ``filtered.json`` in any order writes
+  ``preds.jsonl`` and the ``--report`` byte for byte, since every sample's
+  strongest fired rule is ranked by reward, size and id, not by position;
 - ``eval`` on the prediction file in any order writes the same report.
 
 A sample's prediction depends on that sample alone, so ``predict`` on two
@@ -112,6 +115,23 @@ def test_record_order_changes_no_output(chain, data):
         rerun("eval", {**evaluate, "--pred": shuffled(data, evaluate["--pred"], scratch),
                        "--report": str(scratch / "report.json")})
         assert (scratch / "report.json").read_bytes() == Path(evaluate["--report"]).read_bytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_predict_with_the_rules_in_any_order_writes_the_same_files(chain, data):
+    predict = chain["predict"]
+    document = json.loads(Path(predict["--rules"]).read_text(encoding="utf-8"))
+    assert len(document["rules"]) > 1
+    document["rules"] = data.draw(st.permutations(document["rules"]))
+    with tempfile.TemporaryDirectory() as name:
+        scratch = Path(name)
+        (scratch / "rules.json").write_text(json.dumps(document), encoding="utf-8")
+        written = {"--out": scratch / "preds.jsonl", "--report": scratch / "predict_report.json"}
+        rerun("predict", {**predict, "--rules": str(scratch / "rules.json"),
+                          **{flag: str(path) for flag, path in written.items()}})
+        for flag, path in written.items():
+            assert path.read_bytes() == Path(predict[flag]).read_bytes(), flag
 
 
 @settings(max_examples=50, deadline=None)
