@@ -14,12 +14,11 @@ import os
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
 
 from .dataset import DialogueSample, Fields, Task, encodable
 from .errors import (AgentError, AgentProtocolError, AgentUnavailableError, ArgumentError,
-                     PredicateSyntaxError, check_ratio)
+                     PredicateSyntaxError, check_ratio, checked_tuple)
 from .predicate import (
     Predicate,
     PredicateField,
@@ -49,23 +48,20 @@ RETRIES = 3
 PROMPT_SAMPLES = 8
 
 
-@dataclass(frozen=True)
-class RewardEstimate:
+class RewardEstimate(checked_tuple("RewardEstimate", "reward confidence rationale")):
     """An agent's self-assessment of a rule: reward, confidence, rationale."""
 
-    reward: float
-    confidence: float
-    rationale: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.reward <= 1.0:
-            raise ValueError(f"reward {self.reward} outside [0, 1]")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
+    def __new__(cls, reward: float, confidence: float, rationale: str = "") -> RewardEstimate:
+        if not 0.0 <= reward <= 1.0:
+            raise ValueError(f"reward {reward} outside [0, 1]")
+        if not 0.0 <= confidence <= 1.0:
+            raise ValueError(f"confidence {confidence} outside [0, 1]")
+        return super().__new__(cls, reward, confidence, rationale)
 
 
-@dataclass(frozen=True)
-class AgentContext:
+class AgentContext(NamedTuple):
     """Everything an agent sees when proposing or judging a rule."""
 
     task: Task
@@ -73,7 +69,7 @@ class AgentContext:
     exemplars: tuple[DialogueSample, ...]
     # Often a ``SampleIndex``, so that scoring reuses its compiled bitsets.
     validation: Sequence[DialogueSample]
-    current: frozenset[Predicate] = field(default_factory=frozenset)
+    current: frozenset[Predicate] = frozenset()
 
 
 class Agent(Protocol):
@@ -288,7 +284,6 @@ def http_chat_transport(
     import ssl
     import threading
     import urllib.parse
-    import urllib.request
 
     def split(name: str, text: str) -> tuple[urllib.parse.SplitResult, int | None]:
         if any(c <= " " or c == "\x7f" for c in text):  # http.client refuses them
@@ -307,11 +302,18 @@ def http_chat_transport(
     tls = ssl.create_default_context() if url.scheme == "https" else None
     proxy_headers: dict[str, str] = {}
     tunnel = None
-    proxies = urllib.request.getproxies_environment()
-    proxy = proxies.get(url.scheme)
-    if proxy and not urllib.request.proxy_bypass_environment(
-        host if port is None else f"{host}:{port}", proxies
-    ):
+    proxy = None
+    # urllib.request, and the hashlib it loads, only when a variable can name a proxy.
+    if any(value and name.lower() == f"{url.scheme}_proxy" for name, value in os.environ.items()):
+        import urllib.request
+
+        proxies = urllib.request.getproxies_environment()
+        proxy = proxies.get(url.scheme)
+        if proxy and urllib.request.proxy_bypass_environment(
+            host if port is None else f"{host}:{port}", proxies
+        ):
+            proxy = None
+    if proxy:
         via, via_port = split(f"{url.scheme}_proxy", proxy if "://" in proxy else f"http://{proxy}")
         if via.scheme != "http" or not via.hostname:
             raise ArgumentError(f"{url.scheme}_proxy must be an http:// URL, got {proxy!r}")

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from contextlib import suppress
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -186,10 +185,10 @@ def _cmd_predict(args: argparse.Namespace) -> dict:
     finally:
         close_connections(predictor)
     print(f"wrote {len(result.predictions)} predictions to {args.out}")
-    print(json.dumps(asdict(result.report)))
+    print(json.dumps(vars(result.report)))
     outputs = {args.out: lambda path: save_predictions(result.predictions, path)}
     if args.report:  # the same path as --out: the report wins
-        outputs[args.report] = lambda path: write_json(path, asdict(result.report))
+        outputs[args.report] = lambda path: write_json(path, vars(result.report))
     return outputs
 
 

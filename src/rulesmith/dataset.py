@@ -15,11 +15,10 @@ from __future__ import annotations
 import enum
 import json
 import random
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, Sequence, TypeVar
+from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
 
-from .errors import DatasetError, RulesmithError, check_at_least
+from .errors import DatasetError, RulesmithError, check_at_least, checked_tuple
 
 
 class Task(str, enum.Enum):
@@ -32,57 +31,51 @@ class Speaker(str, enum.Enum):
     SERVICE_REP = "service_rep"
 
 
-@dataclass(frozen=True)
-class Turn:
+class Turn(NamedTuple):
     speaker: Speaker
     text: str
 
 
-@dataclass(frozen=True)
-class DialogueSample:
+class DialogueSample(
+    checked_tuple("DialogueSample", "id task turns ocr_text image_ref gold_label")
+):
     """One multimodal record: speaker-tagged turns plus precomputed OCR text.
 
     OCR text arrives already extracted; an empty string is legal and simply
     means OCR produced nothing usable for that screenshot.
     """
 
-    id: str
-    task: Task
-    turns: tuple[Turn, ...]
-    ocr_text: str = ""
-    image_ref: str | None = None
-    gold_label: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __new__(cls, id: str, task: Task, turns: tuple[Turn, ...], ocr_text: str = "",
+                image_ref: str | None = None, gold_label: str | None = None) -> DialogueSample:
+        if not id:
             raise ValueError("sample id must be a non-empty string")
-        if self.task is Task.INTENT and not self.turns:
-            raise ValueError(f"intent sample {self.id!r} must have at least one turn")
-        if self.task is Task.IMAGE_SCENE and not self.ocr_text and not self.image_ref:
-            raise ValueError(
-                f"image_scene sample {self.id!r} needs non-empty ocr_text or image_ref"
-            )
+        if task is Task.INTENT and not turns:
+            raise ValueError(f"intent sample {id!r} must have at least one turn")
+        if task is Task.IMAGE_SCENE and not ocr_text and not image_ref:
+            raise ValueError(f"image_scene sample {id!r} needs non-empty ocr_text or image_ref")
+        return super().__new__(cls, id, task, turns, ocr_text, image_ref, gold_label)
 
 
-@dataclass(frozen=True)
-class LabelTaxonomy:
+class LabelTaxonomy(checked_tuple("LabelTaxonomy", "intent image_scene")):
     """Ordered label lists per task; the two tasks never share a label."""
 
-    intent: tuple[str, ...]
-    image_scene: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for task, labels in (("intent", self.intent), ("image_scene", self.image_scene)):
+    def __new__(cls, intent: tuple[str, ...], image_scene: tuple[str, ...]) -> LabelTaxonomy:
+        for task, labels in (("intent", intent), ("image_scene", image_scene)):
             seen: set[str] = set()
             for label in labels:
                 if label in seen:
                     raise DatasetError(f"duplicate label {label!r} in task {task!r}")
                 seen.add(label)
-        overlap = set(self.intent) & set(self.image_scene)
+        overlap = set(intent) & set(image_scene)
         if overlap:
             raise DatasetError(
                 f"labels shared between tasks are not allowed: {sorted(overlap)!r}"
             )
+        return super().__new__(cls, intent, image_scene)
 
     def labels_for(self, task: Task) -> tuple[str, ...]:
         return self.intent if task is Task.INTENT else self.image_scene
@@ -91,16 +84,17 @@ class LabelTaxonomy:
         return self.intent + self.image_scene
 
 
-@dataclass(frozen=True)
-class DatasetSplit:
-    train: tuple[DialogueSample, ...]
-    # A tuple, or a ``SampleIndex`` that the searches over this split share.
-    validation: Sequence[DialogueSample]
+class DatasetSplit(checked_tuple("DatasetSplit", "train validation")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        shared = {s.id for s in self.train} & {s.id for s in self.validation}
+    # ``validation`` is a tuple, or a ``SampleIndex`` that the searches over
+    # this split share.
+    def __new__(cls, train: tuple[DialogueSample, ...],
+                validation: Sequence[DialogueSample]) -> DatasetSplit:
+        shared = {s.id for s in train} & {s.id for s in validation}
         if shared:
             raise DatasetError(f"samples present in both split sides: {sorted(shared)!r}")
+        return super().__new__(cls, train, validation)
 
 
 class Rephraser(Protocol):
@@ -367,8 +361,8 @@ def generate_validation(
             raise DatasetError(f"sample {sample.id!r} has no gold_label; cannot rephrase")
 
     def make_copy(source: DialogueSample, copy_index: int) -> DialogueSample:
-        turns = tuple(replace(t, text=rephraser.rephrase(t.text)) for t in source.turns)
-        return replace(source, id=derived_id(source.id, copy_index), turns=turns)
+        turns = tuple(t._replace(text=rephraser.rephrase(t.text)) for t in source.turns)
+        return source._replace(id=derived_id(source.id, copy_index), turns=turns)
 
     copies = [make_copy(sample, i) for sample in train for i in range(per_sample)]
     return sorted(copies, key=lambda s: s.id)

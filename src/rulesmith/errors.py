@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy, and field checks, shared across the package."""
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 
 class RulesmithError(Exception):
@@ -21,6 +23,15 @@ def check_at_least(name: str, value: int, low: int) -> int:
     if value < low:
         raise ArgumentError(f"{name} must be >= {low}, got {value!r}")
     return value
+
+
+def checked_tuple(name: str, fields: str) -> type:
+    """The named tuple base of a record whose subclass checks its fields in
+    ``__new__``. ``_make``, and so ``_replace``, builds through that
+    ``__new__``: a changed copy is checked as the constructor checks."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
 
 
 class DatasetError(RulesmithError):

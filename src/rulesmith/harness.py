@@ -13,17 +13,15 @@ average is also reported for transparency on unbalanced sets.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dataset import DialogueSample, Fields, LabelTaxonomy, Task, read_json, write_json
 from .errors import EvaluationError
 from .inference import Prediction
 
 
-@dataclass(frozen=True)
-class ClassStats:
+class ClassStats(NamedTuple):
     label: str
     precision: float
     recall: float
@@ -31,8 +29,7 @@ class ClassStats:
     support: int
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Headline scores plus the per-class breakdown behind them.
 
     ``dis``/``iss`` are None when the corpus has no samples of that task.

@@ -11,9 +11,9 @@ from __future__ import annotations
 import enum
 import json
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 from .agents import (
     Transport,
@@ -26,7 +26,8 @@ from .agents import (
 from .dataset import (
     DialogueSample, Fields, LabelTaxonomy, Task, read_jsonl, sample_to_record, write_jsonl
 )
-from .errors import AgentError, AgentProtocolError, PredictionFileError, PredictorError, check_ratio
+from .errors import (AgentError, AgentProtocolError, PredictionFileError, PredictorError,
+                     check_ratio, checked_tuple)
 from .predicate import Rule, SampleIndex
 from .rulebase import RuleBase
 
@@ -50,20 +51,19 @@ class PredictionSource(str, enum.Enum):
     RULE = "rule"
 
 
-@dataclass(frozen=True)
-class Prediction:
-    sample_id: str
-    label: str
-    source: PredictionSource
-    fired_rule_id: str | None
-    predictor_label: str
+class Prediction(
+    checked_tuple("Prediction", "sample_id label source fired_rule_id predictor_label")
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.source is PredictionSource.RULE:
-            if not isinstance(self.fired_rule_id, str) or not self.fired_rule_id:
+    def __new__(cls, sample_id: str, label: str, source: PredictionSource,
+                fired_rule_id: str | None, predictor_label: str) -> Prediction:
+        if source is PredictionSource.RULE:
+            if not isinstance(fired_rule_id, str) or not fired_rule_id:
                 raise ValueError("rule-sourced prediction must carry a fired_rule_id string")
-        elif self.fired_rule_id is not None:
+        elif fired_rule_id is not None:
             raise ValueError("predictor-sourced prediction must carry fired_rule_id null")
+        return super().__new__(cls, sample_id, label, source, fired_rule_id, predictor_label)
 
 
 class Predictor(Protocol):
@@ -244,18 +244,17 @@ def arbitrate(
     )
 
 
-@dataclass
-class BatchReport:
-    total: int = 0
-    from_rules: int = 0
-    from_predictor: int = 0
-    predictor_failures: int = 0
-    rule_fallbacks: int = 0
-    abstained: int = 0
+class BatchReport(SimpleNamespace):
+    """A batch's prediction counts, which ``vars()`` reads in this order."""
+
+    def __init__(self, total: int = 0, from_rules: int = 0, from_predictor: int = 0,
+                 predictor_failures: int = 0, rule_fallbacks: int = 0, abstained: int = 0) -> None:
+        super().__init__(total=total, from_rules=from_rules, from_predictor=from_predictor,
+                         predictor_failures=predictor_failures, rule_fallbacks=rule_fallbacks,
+                         abstained=abstained)
 
 
-@dataclass
-class BatchResult:
+class BatchResult(NamedTuple):
     predictions: list[Prediction]
     report: BatchReport
 

@@ -22,46 +22,46 @@ counts the rules the agent actually scored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .agents import Agent, AgentContext, RewardEstimate
 from .dataset import DatasetSplit, Task, write_jsonl
-from .errors import check_at_least
+from .errors import check_at_least, checked_tuple
 from .predicate import MAX_RULE_PREDICATES, Predicate, Rule, RuleSource, SampleIndex
 
 # The UCT exploration constant c.
 EXPLORATION = math.sqrt(2)
 
 
-@dataclass
 class SearchNode:
     """One tree node: a predicate set plus UCT statistics."""
 
-    state: frozenset[Predicate]
-    parent: SearchNode | None = None
-    visits: int = 0
-    total_value: float = 0.0
-    children: dict[Predicate, "SearchNode"] = field(default_factory=dict)
-    untried: list[Predicate] = field(default_factory=list)
-    fetched: bool = False
-    # Exhausted subtrees are skipped during selection; a node is exhausted
-    # once nothing new can ever be evaluated at or below it.
-    exhausted: bool = False
+    __slots__ = ("state", "parent", "visits", "total_value", "children", "untried", "fetched",
+                 "exhausted")
+
+    def __init__(self, state: frozenset[Predicate], parent: SearchNode | None = None,
+                 visits: int = 0, total_value: float = 0.0) -> None:
+        self.state, self.parent = state, parent
+        self.visits, self.total_value = visits, total_value
+        self.children: dict[Predicate, SearchNode] = {}
+        self.untried: list[Predicate] = []
+        self.fetched = False
+        # Exhausted subtrees are skipped during selection; a node is exhausted
+        # once nothing new can ever be evaluated at or below it.
+        self.exhausted = False
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    max_iterations: int = 200
-    proposals_per_expansion: int = 5
+class SearchConfig(checked_tuple("SearchConfig", "max_iterations proposals_per_expansion")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_at_least("max_iterations", self.max_iterations, 1)
-        check_at_least("proposals_per_expansion", self.proposals_per_expansion, 1)
+    def __new__(cls, max_iterations: int = 200, proposals_per_expansion: int = 5) -> SearchConfig:
+        check_at_least("max_iterations", max_iterations, 1)
+        check_at_least("proposals_per_expansion", proposals_per_expansion, 1)
+        return super().__new__(cls, max_iterations, proposals_per_expansion)
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     rules: list[tuple[Rule, RewardEstimate]]
     root: SearchNode
     iterations: int
@@ -207,7 +207,7 @@ def run_search(
                 scored[child.state] = estimate
             harvested.append(
                 (
-                    replace(rule, reward=estimate.reward, confidence=estimate.confidence),
+                    rule._replace(reward=estimate.reward, confidence=estimate.confidence),
                     estimate,
                 )
             )

@@ -19,12 +19,11 @@ import enum
 import re
 import unicodedata
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, pairwise
 from typing import Iterable, Iterator, Sequence
 
 from .dataset import DialogueSample, Speaker, Task, encodable
-from .errors import PredicateSyntaxError
+from .errors import PredicateSyntaxError, checked_tuple
 
 MAX_VALUE_LENGTH = 128
 MAX_RULE_PREDICATES = 5
@@ -49,63 +48,52 @@ class RuleSource(str, enum.Enum):
     MANUAL = "manual"
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(checked_tuple("Predicate", "field op value")):
     """One atomic, deterministically evaluable condition over a sample."""
 
-    field: PredicateField
-    op: PredicateOp
-    value: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.value:
+    def __new__(cls, field: PredicateField, op: PredicateOp, value: str) -> Predicate:
+        if not value:
             raise ValueError("predicate value must be non-empty")
-        if len(self.value) > MAX_VALUE_LENGTH:
-            raise ValueError(
-                f"predicate value exceeds {MAX_VALUE_LENGTH} characters"
-            )
+        if len(value) > MAX_VALUE_LENGTH:
+            raise ValueError(f"predicate value exceeds {MAX_VALUE_LENGTH} characters")
+        return super().__new__(cls, field, op, value)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(checked_tuple("Rule", "id task label predicates reward confidence source")):
     """A conjunction of 1..5 predicates implying a label."""
 
-    id: str
-    task: Task
-    label: str
-    predicates: frozenset[Predicate]
-    reward: float
-    confidence: float
-    source: RuleSource
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "predicates", frozenset(self.predicates))
-        n = len(self.predicates)
+    def __new__(cls, id: str, task: Task, label: str, predicates: Iterable[Predicate],
+                reward: float, confidence: float, source: RuleSource) -> Rule:
+        predicates = frozenset(predicates)
+        n = len(predicates)
         if not 1 <= n <= MAX_RULE_PREDICATES:
             raise ValueError(
-                f"rule {self.id!r} has {n} predicates; must have 1..{MAX_RULE_PREDICATES}"
+                f"rule {id!r} has {n} predicates; must have 1..{MAX_RULE_PREDICATES}"
             )
-        if not 0.0 <= self.reward <= 1.0:
-            raise ValueError(f"rule {self.id!r} reward {self.reward} outside [0, 1]")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"rule {self.id!r} confidence {self.confidence} outside [0, 1]")
+        if not 0.0 <= reward <= 1.0:
+            raise ValueError(f"rule {id!r} reward {reward} outside [0, 1]")
+        if not 0.0 <= confidence <= 1.0:
+            raise ValueError(f"rule {id!r} confidence {confidence} outside [0, 1]")
+        return super().__new__(cls, id, task, label, predicates, reward, confidence, source)
 
     def sorted_predicates(self) -> list[Predicate]:
         """Predicates in canonical text order, for stable serialization."""
         return sorted(self.predicates, key=render_predicate)
 
 
-@dataclass(frozen=True)
-class RuleQuality:
+class RuleQuality(checked_tuple("RuleQuality", "coverage correct precision")):
     """Ground-truth measurement of a rule over labeled samples."""
 
-    coverage: int
-    correct: int
-    precision: float | None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.correct > self.coverage:
+    def __new__(cls, coverage: int, correct: int, precision: float | None) -> RuleQuality:
+        if correct > coverage:
             raise ValueError("correct count cannot exceed coverage")
+        return super().__new__(cls, coverage, correct, precision)
 
     @classmethod
     def from_counts(cls, coverage: int, correct: int) -> "RuleQuality":

@@ -8,12 +8,12 @@ agent-reported rewards can hallucinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dataset import DialogueSample, Fields, LabelTaxonomy, Task, read_json, write_json
-from .errors import PredicateSyntaxError, RuleBaseError, check_at_least, check_ratio
+from .errors import (PredicateSyntaxError, RuleBaseError, check_at_least, check_ratio,
+                     checked_tuple)
 from .predicate import (
     Predicate,
     Rule,
@@ -33,25 +33,22 @@ DEFAULT_MIN_SUPPORT = 2
 EPOCH_ISO = "1970-01-01T00:00:00+00:00"
 
 
-@dataclass(frozen=True)
-class RuleBaseMetadata:
+class RuleBaseMetadata(NamedTuple):
     created_at: str
     dataset_digest: str = ""
     config_digest: str = ""
 
 
-@dataclass(frozen=True)
-class RuleBase:
+class RuleBase(checked_tuple("RuleBase", "rules metadata")):
     """An immutable, deduplicated, dominance-free collection of rules."""
 
-    rules: tuple[Rule, ...]
-    metadata: RuleBaseMetadata
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", tuple(self.rules))
+    def __new__(cls, rules: Sequence[Rule], metadata: RuleBaseMetadata) -> RuleBase:
+        rules = tuple(rules)
         seen: set[str] = set()
         first_ids: dict[tuple[Task, str, frozenset[Predicate]], str] = {}
-        for rule in self.rules:
+        for rule in rules:
             if rule.id in seen:
                 raise RuleBaseError(f"duplicate rule id {rule.id!r}")
             seen.add(rule.id)
@@ -61,13 +58,14 @@ class RuleBase:
                     f"rule {rule.id!r} has the task, label and predicates of rule "
                     f"{first!r}; collapse with remove_dominated first"
                 )
-        dominated = _dominated_indices(self.rules)
+        dominated = _dominated_indices(rules)
         if dominated:
-            offender = self.rules[min(dominated)].id
+            offender = rules[min(dominated)].id
             raise RuleBaseError(
                 f"rule {offender!r} is dominated by a strictly smaller, "
                 "higher-reward rule; prune with remove_dominated first"
             )
+        return super().__new__(cls, rules, metadata)
 
     @classmethod
     def build(
@@ -140,8 +138,7 @@ def remove_dominated(rules: Sequence[Rule]) -> list[Rule]:
     return [r for i, r in enumerate(collapsed) if i not in dominated]
 
 
-@dataclass(frozen=True)
-class OnlineValidation:
+class OnlineValidation(NamedTuple):
     """Outcome of re-measuring rules on held-out data.
 
     Kept rules carry their measured precision as reward; dropped rules
@@ -177,7 +174,7 @@ def online_validate(
         elif quality.precision < min_precision:
             dropped.append((rule, quality))
         else:
-            kept.append(replace(rule, reward=quality.precision))
+            kept.append(rule._replace(reward=quality.precision))
     return OnlineValidation(kept=tuple(kept), dropped=tuple(dropped))
 
 

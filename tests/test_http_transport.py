@@ -370,3 +370,22 @@ def test_a_transport_loads_no_third_party_module():
         if name.split(".")[0] not in sys.stdlib_module_names | {"rulesmith"}
     ]
     assert not foreign, f"a transport loads third-party modules: {foreign}"
+
+
+def test_a_transport_without_a_proxy_variable_loads_neither_urllib_request_nor_hashlib():
+    """``urllib.request`` only reads the proxy variables, and loads ``hashlib``."""
+    out = run_python(
+        "import os, sys\n"
+        "for name in [n for n in os.environ if n.lower().endswith('_proxy')]:\n"
+        "    del os.environ[name]\n"
+        "from rulesmith.agents import http_chat_transport\n"
+        "http_chat_transport('http://127.0.0.1:9')\n"
+        "print(sorted({'urllib.request', 'hashlib'} & set(sys.modules)))\n"
+    )
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_a_proxy_variable_named_in_upper_case_is_read(monkeypatch):
+    monkeypatch.setenv("HTTP_PROXY", "socks5://127.0.0.1:1080")
+    with pytest.raises(ValueError, match="http_proxy"):
+        http_chat_transport("http://example.invalid/v1")

@@ -31,10 +31,8 @@ def test_all_lists_exactly_the_public_names_and_each_resolves():
     assert set(namespace) - {"__builtins__"} == public
 
 
-def test_stages_that_take_no_digest_and_log_nothing_never_import_hashlib_or_logging(tmp_path):
-    """Every stage runs in a fresh interpreter and pays for every module it
-    loads. Modules loaded before ``import rulesmith.cli`` (interpreter
-    start-up and site hooks) are not counted."""
+def stage_argvs(tmp_path) -> dict[str, list[str]]:
+    """The argv of every stage of a tiny mock chain, in pipeline order."""
     labels = ["refund", "shipping"]
     samples = build_planted_corpus(labels, per_label=4, seed=1)
     train, tax, rules, preds = (
@@ -56,24 +54,53 @@ def test_stages_that_take_no_digest_and_log_nothing_never_import_hashlib_or_logg
     stages = {
         "rephrase": ["rephrase", "--train", train, "--labels", tax, "--agent", "mock",
                      "--seed", "7", "--out", tmp_path / "v.jsonl"],
+        "induce": ["induce", "--train", train, "--val", tmp_path / "v.jsonl", "--labels", tax,
+                   "--agent", "mock", "--iterations", "5", "--seed", "7",
+                   "--out", tmp_path / "induced.json"],
         "filter": ["filter", "--rules", rules, "--val", train, "--labels", tax,
                    "--out", tmp_path / "f.json"],
+        "predict": ["predict", "--val", train, "--labels", tax, "--rules", rules,
+                    "--predictor", "stub:0.7", "--seed", "7", "--out", tmp_path / "p.jsonl"],
         "eval": ["eval", "--pred", preds, "--val", train, "--labels", tax],
     }
+    return {name: [str(a) for a in argv] for name, argv in stages.items()}
+
+
+def loaded_by_stage(watched: set[str], stages: dict[str, list[str]]) -> dict[str, list[str]]:
+    """Which ``watched`` modules ``import rulesmith.cli`` loads, and then
+    each stage's ``cli.main`` run, all in one fresh interpreter.
+
+    Every stage runs in a fresh interpreter and pays for every module it
+    loads. Modules loaded before ``import rulesmith.cli`` (interpreter
+    start-up and site hooks) are not counted."""
     out = run_python(
         "import json, sys\n"
-        "watched = {'hashlib', 'logging'}\n"
+        "watched, stages = json.loads(sys.argv[1]), json.loads(sys.argv[2])\n"
         "loaded = {}\n"
         "before = set(sys.modules)\n"
         "import rulesmith.cli\n"
-        "loaded['import'] = sorted(watched & (set(sys.modules) - before))\n"
-        "for name, argv in json.loads(sys.argv[1]).items():\n"
+        "loaded['import'] = sorted(set(watched) & (set(sys.modules) - before))\n"
+        "for name, argv in stages.items():\n"
         "    before = set(sys.modules)\n"
         "    assert rulesmith.cli.main(argv) == 0, name\n"
-        "    loaded[name] = sorted(watched & (set(sys.modules) - before))\n"
+        "    loaded[name] = sorted(set(watched) & (set(sys.modules) - before))\n"
         "print(json.dumps(loaded))\n",
-        json.dumps({name: [str(a) for a in argv] for name, argv in stages.items()}),
+        json.dumps(sorted(watched)),
+        json.dumps(stages),
     )
-    assert json.loads(out.splitlines()[-1]) == {
+    return json.loads(out.splitlines()[-1])
+
+
+def test_stages_that_take_no_digest_and_log_nothing_never_import_hashlib_or_logging(tmp_path):
+    stages = stage_argvs(tmp_path)
+    stages = {name: stages[name] for name in ("rephrase", "filter", "eval")}
+    assert loaded_by_stage({"hashlib", "logging"}, stages) == {
         "import": [], "rephrase": [], "filter": [], "eval": [],
     }
+
+
+def test_no_stage_imports_dataclasses_or_inspect(tmp_path):
+    """Records are named tuples: building them runs no ``dataclasses`` code
+    generation, and nothing loads ``inspect`` and the modules it pulls in."""
+    loaded = loaded_by_stage({"dataclasses", "inspect"}, stage_argvs(tmp_path))
+    assert loaded == dict.fromkeys(["import", "rephrase", "induce", "filter", "predict", "eval"], [])

@@ -57,7 +57,7 @@ OUTCOMES = [
 class TestParse:
     @pytest.mark.parametrize(("text", "outcome"), OUTCOMES)
     def test_outcome_table(self, text, outcome):
-        if isinstance(outcome, tuple):
+        if not isinstance(outcome, Predicate):
             message, offset, expected = outcome
             outcome = (f"{message} (byte offset {offset}, expected {expected})", offset, expected)
         try:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -176,7 +175,7 @@ class TestOnlineValidate:
         validation = self.build_validation()
         rule = make_rule("good", "refund", [contains("good")], 0.62)
         outcome = online_validate([rule], validation, min_precision=0.8)
-        assert outcome.kept == (replace(rule, reward=1.0),)
+        assert outcome.kept == (rule._replace(reward=1.0),)
         assert outcome.dropped == ()
 
     def test_measured_precision_replaces_agent_reward(self):
