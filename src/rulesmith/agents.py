@@ -267,7 +267,8 @@ def http_chat_transport(
     """POST messages to a chat-completions endpoint, return the reply text.
 
     The URL and the proxy are checked and resolved here, once: a malformed
-    URL or proxy raises ``ArgumentError`` before any request is sent. The proxy comes
+    URL or proxy raises ``ArgumentError`` before any request is sent, as does
+    an ``api_key_env`` key that is not printable ASCII. The proxy comes
     from ``http_proxy``/``https_proxy`` unless ``no_proxy`` covers the host.
     Each thread keeps one kept-alive connection, replaced after any failure
     and, before reuse, once the peer has closed it. A status outside 2xx
@@ -285,14 +286,15 @@ def http_chat_transport(
     import threading
     import urllib.parse
 
+    # The messages name the setting, not its value, which may hold a password.
     def split(name: str, text: str) -> tuple[urllib.parse.SplitResult, int | None]:
         if any(c <= " " or c == "\x7f" for c in text):  # http.client refuses them
-            raise ArgumentError(f"{name} {text!r} holds a space or control character")
+            raise ArgumentError(f"{name} holds a space or control character")
         try:  # the port is None when absent
             parts = urllib.parse.urlsplit(text)
             return parts, parts.port
         except ValueError as exc:  # a broken IPv6 literal, or a port not a number in range
-            raise ArgumentError(f"{name} {text!r}: {exc}") from None
+            raise ArgumentError(f"{name}: {exc}") from None
 
     url, port = split("endpoint", endpoint)
     if url.scheme not in ("http", "https") or not url.hostname:
@@ -316,7 +318,8 @@ def http_chat_transport(
     if proxy:
         via, via_port = split(f"{url.scheme}_proxy", proxy if "://" in proxy else f"http://{proxy}")
         if via.scheme != "http" or not via.hostname:
-            raise ArgumentError(f"{url.scheme}_proxy must be an http:// URL, got {proxy!r}")
+            shown = via._replace(netloc=via.netloc.rpartition("@")[2]).geturl()  # no userinfo
+            raise ArgumentError(f"{url.scheme}_proxy must be an http:// URL, got {shown!r}")
         if via.username is not None:
             user, password = (urllib.parse.unquote(v or "") for v in (via.username, via.password))
             token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
@@ -359,6 +362,9 @@ def http_chat_transport(
             headers.update(proxy_headers)
         key = os.environ.get(api_key_env)
         if key:
+            # http.client refuses such a header with the key in its message.
+            if not (key.isascii() and key.isprintable()):
+                raise ArgumentError(f"{api_key_env} must be printable ASCII")
             headers["Authorization"] = f"Bearer {key}"
         payload = json.dumps({"model": model, "messages": messages}).encode("utf-8")
         conn = connection()

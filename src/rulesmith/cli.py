@@ -82,7 +82,6 @@ def _endpoint(spec: str, option: str, local: str) -> str:
 def _build_agent(spec: str, corpus, seed: int | None, noise: float) -> Agent:
     if spec == "mock":
         return MockAgent(corpus, seed=seed if seed is not None else 0, noise=noise)
-    check_ratio("noise", noise)  # a remote agent ignores it, but config_digest records it
     return RemoteAgent(_endpoint(spec, "--agent", "'mock'"))
 
 
@@ -97,6 +96,7 @@ def _build_predictor(spec: str, taxonomy, seed: int | None) -> Predictor:
 
 
 def _cmd_rephrase(args: argparse.Namespace) -> dict:
+    check_at_least("per_sample", args.per_sample, 1)
     taxonomy = load_taxonomy(args.labels)
     train = load_dataset(args.train, taxonomy)
     agent = _build_agent(args.agent, train, args.seed, noise=0.0)
@@ -109,6 +109,9 @@ def _cmd_rephrase(args: argparse.Namespace) -> dict:
 
 
 def _cmd_induce(args: argparse.Namespace) -> dict:
+    cfg = SearchConfig(max_iterations=args.iterations, proposals_per_expansion=args.proposals)
+    # A remote agent ignores the noise, but config_digest records it.
+    check_ratio("noise", args.noise)
     taxonomy = load_taxonomy(args.labels)
     train = load_dataset(args.train, taxonomy)
     validation = load_dataset(args.val, taxonomy)
@@ -116,7 +119,6 @@ def _cmd_induce(args: argparse.Namespace) -> dict:
     split = DatasetSplit(train=tuple(train), validation=SampleIndex(validation))
     agent = _build_agent(args.agent, train, args.seed, noise=args.noise)
     try:
-        cfg = SearchConfig(max_iterations=args.iterations, proposals_per_expansion=args.proposals)
         harvested = []
         val_tasks = {s.task for s in validation}
         train_labels = {(s.task, s.gold_label) for s in train if s.gold_label}
@@ -150,6 +152,7 @@ def _cmd_induce(args: argparse.Namespace) -> dict:
 
 
 def _cmd_filter(args: argparse.Namespace) -> dict:
+    check_ratio("min_reward", args.min_reward)
     check_ratio("min_precision", args.min_precision)  # with or without --val
     check_at_least("min_support", args.min_support, 0)
     if args.val and not args.labels:
@@ -175,6 +178,7 @@ def _cmd_filter(args: argparse.Namespace) -> dict:
 
 
 def _cmd_predict(args: argparse.Namespace) -> dict:
+    check_ratio("override_threshold", args.override_threshold)
     taxonomy = load_taxonomy(args.labels)
     samples = load_dataset(args.val, taxonomy)
     base = load_rulebase(args.rules)

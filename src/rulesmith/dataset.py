@@ -253,17 +253,15 @@ def load_taxonomy(path: str | Path) -> LabelTaxonomy:
     if not isinstance(raw, dict):
         raise DatasetError("taxonomy file must contain a JSON object")
     fields = Fields(raw, DatasetError, "taxonomy ")
-    return LabelTaxonomy(
-        intent=tuple(fields.texts("intent")), image_scene=tuple(fields.texts("image_scene"))
-    )
+    return LabelTaxonomy._make(tuple(fields.texts(task)) for task in LabelTaxonomy._fields)
 
 
 def save_taxonomy(taxonomy: LabelTaxonomy, path: str | Path) -> None:
-    write_json(path, {"intent": list(taxonomy.intent), "image_scene": list(taxonomy.image_scene)})
+    write_json(path, taxonomy._asdict())  # JSON writes the label tuples as arrays
 
 
-_SAMPLE_FIELDS = {"id", "task", "turns", "ocr_text", "image_ref", "gold_label"}
-_TURN_FIELDS = {"speaker", "text"}
+_SAMPLE_FIELDS = frozenset(DialogueSample._fields)
+_TURN_FIELDS = frozenset(Turn._fields)
 
 
 def _parse_record(fields: Fields, taxonomy: LabelTaxonomy) -> DialogueSample:

@@ -158,16 +158,7 @@ def report_to_dict(report: EvalReport) -> dict:
             "intent": report.intent_count,
             "image_scene": report.image_scene_count,
         },
-        "per_class": [
-            {
-                "label": s.label,
-                "precision": s.precision,
-                "recall": s.recall,
-                "f1": s.f1,
-                "support": s.support,
-            }
-            for s in report.per_class
-        ],
+        "per_class": [row._asdict() for row in report.per_class],
     }
 
 

@@ -146,16 +146,9 @@ def run_search(
     # Written when the search ends, whether it succeeded or failed.
     trace: list[dict] | None = None if trace_path is None else []
 
-    def make_context(state: frozenset[Predicate]) -> AgentContext:
-        # The context depends on the state alone, which makes the
-        # transposition table exact.
-        return AgentContext(
-            task=task,
-            label=label,
-            exemplars=exemplars,
-            validation=validation,
-            current=state,
-        )
+    # Only ``current`` varies within a search, so the agent's answers depend
+    # on the state alone, which makes the transposition table exact.
+    context = AgentContext(task=task, label=label, exemplars=exemplars, validation=validation)
 
     try:
         for iteration in range(cfg.max_iterations):
@@ -176,7 +169,7 @@ def run_search(
                 actions = proposed.get(node.state)
                 if actions is None:
                     proposals = agent.propose_predicates(
-                        make_context(node.state), cfg.proposals_per_expansion
+                        context._replace(current=node.state), cfg.proposals_per_expansion
                     )
                     # Drop predicates already in the state, and repeats.
                     actions = list(dict.fromkeys(p for p in proposals if p not in node.state))
@@ -203,7 +196,7 @@ def run_search(
             )
             estimate = scored.get(child.state)
             if estimate is None:
-                estimate = agent.evaluate_rule(make_context(child.state), rule)
+                estimate = agent.evaluate_rule(context._replace(current=child.state), rule)
                 scored[child.state] = estimate
             harvested.append(
                 (

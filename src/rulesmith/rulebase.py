@@ -223,11 +223,7 @@ def _rule_from_record(record: dict, index: int) -> Rule:
 def save_rulebase(rulebase: RuleBase, path: str | Path) -> None:
     write_json(path, {
         "version": RULEBASE_VERSION,
-        "metadata": {
-            "created_at": rulebase.metadata.created_at,
-            "dataset_digest": rulebase.metadata.dataset_digest,
-            "config_digest": rulebase.metadata.config_digest,
-        },
+        "metadata": rulebase.metadata._asdict(),
         "rules": [_rule_to_record(r) for r in rulebase.rules],
     })
 
@@ -244,10 +240,6 @@ def load_rulebase(path: str | Path) -> RuleBase:
         )
     fields = Fields(doc, RuleBaseError)
     meta = Fields(fields.mapping("metadata"), RuleBaseError, "metadata ")
-    metadata = RuleBaseMetadata(
-        created_at=meta.text("created_at"),
-        dataset_digest=meta.text("dataset_digest"),
-        config_digest=meta.text("config_digest"),
-    )
+    metadata = RuleBaseMetadata._make(map(meta.text, RuleBaseMetadata._fields))
     rules = tuple(_rule_from_record(r, i) for i, r in enumerate(fields.array("rules")))
     return RuleBase(rules=rules, metadata=metadata)

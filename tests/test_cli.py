@@ -27,7 +27,9 @@ from rulesmith import (
     save_taxonomy,
     stratified_split,
 )
+from rulesmith.agents import AGENT_KEY_ENV
 from rulesmith.cli import main
+from rulesmith.inference import PREDICTOR_KEY_ENV
 from _helpers import (
     RawReplyServer,
     ScriptedHTTPServer,
@@ -356,6 +358,33 @@ def test_a_path_stdout_cannot_encode_leaves_no_file(workspace, capsys, monkeypat
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["rephrase", "--per-sample", "0"],
+        ["induce", "--iterations", "0"],
+        ["induce", "--proposals", "0"],
+        ["induce", "--noise", "5"],
+        ["filter", "--min-reward", "5"],
+        ["predict", "--override-threshold", "7"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_a_bad_numeric_option_is_refused_before_any_input_file_is_read(tmp_path, capsys, argv):
+    missing, out = str(tmp_path / "missing.json"), tmp_path / "out"
+    inputs = {
+        "rephrase": ["--train", missing, "--labels", missing],
+        "induce": ["--train", missing, "--val", missing, "--labels", missing],
+        "filter": ["--rules", missing],
+        "predict": ["--val", missing, "--labels", missing, "--rules", missing,
+                    "--predictor", "stub:0.5"],
+    }[argv[0]]
+    assert main(argv + inputs + ["--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "ArgumentError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "url",
     ["http://", "http://127.0.0.1:99999/v1", "http://127.0.0.1:abc/", "http://[::1/v1",
      "http://a b/v1"],
@@ -403,6 +432,32 @@ def test_malformed_proxy_setting_is_refused_before_any_request(
     assert "Traceback" not in err
     error = json.loads(err.strip().splitlines()[-1])
     assert error["error"] == "ArgumentError" and "http_proxy" in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["rephrase", "predict"])
+def test_an_api_key_that_is_not_printable_ascii_is_refused_and_not_shown(
+    workspace, capsys, caplog, monkeypatch, no_proxy, command
+):
+    tmp, train, val, tax = workspace
+    rules = tmp / "rules.json"
+    save_rulebase(RuleBase(rules=(), metadata=RuleBaseMetadata(created_at="x")), rules)
+    variable = {"rephrase": AGENT_KEY_ENV, "predict": PREDICTOR_KEY_ENV}[command]
+    monkeypatch.setenv(variable, "sk-SECRET123\r")
+    out = tmp / "out"
+    with ScriptedHTTPServer([(200, chat_body("unused"))] * 4) as server:
+        argv = {
+            "rephrase": ["rephrase", "--train", train, "--labels", tax, "--agent", server.url],
+            "predict": ["predict", "--val", val, "--labels", tax, "--rules", rules,
+                        "--predictor", server.url],
+        }[command]
+        status = main([str(a) for a in argv + ["--out", out]])
+    assert status == 1
+    assert server.seen == []
+    err = capsys.readouterr().err
+    assert "SECRET" not in err and "SECRET" not in caplog.text
+    error = json.loads(err.strip().splitlines()[-1])
+    assert error["error"] == "ArgumentError" and variable in error["message"]
     assert not out.exists()
 
 

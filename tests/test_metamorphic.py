@@ -1,12 +1,14 @@
 """Metamorphic properties of the chain, run through ``cli.main``.
 
 The benchmark's tiny induce-mock chain is built once. Each example draws
-permutations of its input files and runs a stage again on them. Record order
-carries no meaning in any input, so:
+permutations of its input files and runs a stage again on them; the
+``induce`` and two-halves properties draw the stage's ``--seed`` too, and
+compare against one run of the stage at that seed. Record order carries no
+meaning in any input, so:
 
-- ``induce`` on ``train.jsonl`` and ``val.jsonl`` in any order writes
-  ``rules.json`` byte for byte, but for ``metadata.dataset_digest``, which
-  hashes the train file as written;
+- ``induce`` on ``train.jsonl`` and ``val.jsonl`` in any order writes the
+  ``rules.json`` of the unshuffled files at the same seed, byte for byte but
+  for ``metadata.dataset_digest``, which hashes the train file as written;
 - ``filter`` run again on ``filtered.json``, with the validation set in any
   order, writes ``filtered.json`` byte for byte;
 - ``predict`` on ``test.jsonl`` in any order writes the same prediction
@@ -18,7 +20,7 @@ carries no meaning in any input, so:
 
 A sample's prediction depends on that sample alone, so ``predict`` on two
 halves of ``test.jsonl``, run apart, writes the lines of one run over the
-whole file. That holds only while no classifier call fails: the batch that
+whole file at the same seed. That holds only while no classifier call fails: the batch that
 spends more than ``FAILURE_BUDGET`` failures aborts, and where that happens
 depends on how the file was cut. The tiny chain's stub classifier never fails.
 """
@@ -40,6 +42,7 @@ from hypothesis import strategies as st
 from rulesmith.cli import main
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+SEEDS = st.integers(0, 2**31 - 1)
 
 
 @pytest.fixture(scope="module")
@@ -78,14 +81,16 @@ def rerun(stage: str, options: dict[str, str]) -> None:
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_induce_on_shuffled_inputs_writes_the_same_rules(chain, data):
-    induce = chain["induce"]
+    induce = {**chain["induce"], "--seed": str(data.draw(SEEDS, label="seed"))}
     with tempfile.TemporaryDirectory() as name:
         scratch = Path(name)
+        rerun("induce", {**induce, "--out": str(scratch / "original.json")})
         rerun("induce", {**induce, "--train": shuffled(data, induce["--train"], scratch),
                          "--val": shuffled(data, induce["--val"], scratch),
                          "--out": str(scratch / "rules.json")})
-        again = (scratch / "rules.json").read_text(encoding="utf-8")
-    original = Path(induce["--out"]).read_text(encoding="utf-8")
+        again, original = ((scratch / f).read_text(encoding="utf-8")
+                           for f in ("rules.json", "original.json"))
+    assert json.loads(original)["rules"]
     digests = [json.loads(text)["metadata"]["dataset_digest"] for text in (again, original)]
     assert again.replace(*digests) == original
 
@@ -138,15 +143,19 @@ def test_predict_with_the_rules_in_any_order_writes_the_same_files(chain, data):
 @given(data=st.data())
 def test_predict_on_two_halves_writes_the_lines_of_one_run(chain, data):
     """Run apart, the halves of ``test.jsonl`` give the prediction lines of
-    one run; this holds only while no classifier call fails, since a batch
-    past ``FAILURE_BUDGET`` failures aborts at a sample that depends on the cut."""
-    predict = chain["predict"]
-    report = json.loads(Path(predict["--report"]).read_text(encoding="utf-8"))
-    assert report["predictor_failures"] == 0
+    one run at the same seed; this holds only while no classifier call fails,
+    since a batch past ``FAILURE_BUDGET`` failures aborts at a sample that
+    depends on the cut."""
+    predict = {**chain["predict"], "--seed": str(data.draw(SEEDS, label="seed"))}
     lines = Path(predict["--val"]).read_text(encoding="utf-8").splitlines(keepends=True)
     cut = data.draw(st.integers(0, len(lines)), label="cut")
     with tempfile.TemporaryDirectory() as name:
         scratch = Path(name)
+        rerun("predict", {**predict, "--out": str(scratch / "preds.jsonl"),
+                          "--report": str(scratch / "report.json")})
+        report = json.loads((scratch / "report.json").read_text(encoding="utf-8"))
+        assert report["predictor_failures"] == 0
+        whole = (scratch / "preds.jsonl").read_bytes()
         written = []
         for n, half in enumerate((lines[:cut], lines[cut:])):
             source = scratch / f"half{n}.jsonl"
@@ -155,4 +164,4 @@ def test_predict_on_two_halves_writes_the_lines_of_one_run(chain, data):
                               "--out": str(scratch / f"preds{n}.jsonl"),
                               "--report": str(scratch / f"report{n}.json")})
             written.append((scratch / f"preds{n}.jsonl").read_bytes())
-    assert b"".join(written) == Path(predict["--out"]).read_bytes()
+    assert b"".join(written) == whole

@@ -14,6 +14,7 @@ import pytest
 
 from rulesmith import (
     DatasetSplit,
+    EvalReport,
     LabelTaxonomy,
     Prediction,
     PredictionSource,
@@ -24,10 +25,12 @@ from rulesmith import (
     RulesmithError,
     SearchConfig,
     save_dataset,
+    save_report,
     save_rulebase,
     save_taxonomy,
 )
 from rulesmith.cli import main
+from rulesmith.harness import ClassStats
 from rulesmith.inference import BatchReport
 from _helpers import build_planted_corpus, contains, intent_sample, make_rule, planted_token
 
@@ -96,3 +99,36 @@ def test_the_batch_report_reads_in_the_order_of_the_saved_report(tmp_path):
     assert saved["total"] == len(samples) and saved["from_rules"] > 0
     assert BatchReport(total=2) == BatchReport(2)
     assert repr(BatchReport(total=2)).startswith("BatchReport(total=2, from_rules=0,")
+
+
+# The files below are written from each record's own ``_asdict()``: these
+# tests pin the formats, so that renaming a record field cannot change one.
+
+def test_the_taxonomy_file_holds_these_bytes(tmp_path):
+    save_taxonomy(LabelTaxonomy(("refund", "\u9000\u8d27"), ()), tmp_path / "labels.json")
+    assert (tmp_path / "labels.json").read_bytes() == (
+        '{\n  "intent": [\n    "refund",\n    "\u9000\u8d27"\n  ],\n  "image_scene": []\n}\n'
+    ).encode("utf-8")
+
+
+def test_the_rule_base_metadata_keys_are_in_this_order(tmp_path):
+    metadata = RuleBaseMetadata(created_at="t", dataset_digest="d", config_digest="c")
+    save_rulebase(RuleBase.build([RULE], metadata), tmp_path / "rules.json")
+    saved = json.loads((tmp_path / "rules.json").read_text(encoding="utf-8"))
+    assert list(saved) == ["version", "metadata", "rules"]
+    assert list(saved["metadata"].items()) == [
+        ("created_at", "t"), ("dataset_digest", "d"), ("config_digest", "c")
+    ]
+
+
+def test_the_report_class_rows_are_keyed_in_this_order(tmp_path):
+    rows = (ClassStats("refund", 1.0, 0.5, 2 / 3, 2), ClassStats("photo", 0.0, 0.0, 0.0, 1))
+    report = EvalReport(dis=2 / 3, iss=0.0, oss=0.5, oss_mean=1 / 3, per_class=rows,
+                        intent_count=2, image_scene_count=1)
+    save_report(report, tmp_path / "report.json")
+    saved = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert [list(row.items()) for row in saved["per_class"]] == [
+        [("label", "refund"), ("precision", 1.0), ("recall", 0.5), ("f1", 2 / 3),
+         ("support", 2)],
+        [("label", "photo"), ("precision", 0.0), ("recall", 0.0), ("f1", 0.0), ("support", 1)],
+    ]
